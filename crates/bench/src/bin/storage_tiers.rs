@@ -1,12 +1,8 @@
 //! Produces `BENCH_storage.json`: Path ORAM backend throughput over the
-//! three tree stores behind the `TreeStore` seam — the in-memory arena
-//! (`MemStore`), the file-backed sparse tree (`FileStore`), and the tiered
-//! treetop store (`TieredStore`, top K levels resident in RAM, the rest
-//! spilled to the file tier) — at the 1M-block / 64-byte encrypted design
-//! point.  Each tier is measured twice: sequential accesses, and the same
-//! workload submitted in batch windows of [`BATCH_WINDOW`], which engages
-//! the backend's dedup scheduler (shared upper-level buckets read and
-//! sealed once per batch) over non-arena stores.
+//! three configurations of the one tree store — the whole tree in the RAM
+//! arena (`mem`), the file tier alone (`file`, K = 0), and the treetop
+//! split (`tiered`, top K levels resident in RAM, the rest in the file
+//! tier) — at the 1M-block / 64-byte encrypted design point.
 //!
 //! The CI `--gate` mode checks three things:
 //!
@@ -36,16 +32,14 @@ use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Allowed fractional regression of any tier's sequential accesses/sec
-/// before the `--gate` check fails (20%, matching the other perf-smoke
-/// gates).
+/// Allowed fractional regression of any tier's accesses/sec before the
+/// `--gate` check fails (20%, matching the other perf-smoke gates).
 const GATE_TOLERANCE: f64 = 0.20;
 
-/// The tiered store must beat the pure file store by at least this factor
-/// on the sequential rows; checked under `--gate` with [`GATE_TOLERANCE`]
-/// slack (floor 1.6× in CI), because both rates carry page-cache and
-/// frequency-scaling noise even on one machine.  The checked-in baseline
-/// is held to the full 2×.
+/// The tiered store must beat the pure file store by at least this factor;
+/// checked under `--gate` with [`GATE_TOLERANCE`] slack (floor 1.6× in
+/// CI), because both rates carry page-cache and frequency-scaling noise
+/// even on one machine.  The checked-in baseline is held to the full 2×.
 const TIERED_FILE_SPEEDUP_FLOOR: f64 = 2.0;
 
 /// Treetop budget for the tiered row: 192 MiB holds all 19 levels at the
@@ -56,10 +50,6 @@ const TIERED_FILE_SPEEDUP_FLOOR: f64 = 2.0;
 /// leaf-only spill (96 MiB, K=18) lands near 1.7× the file rate; covering
 /// the whole tree is what clears the 2× floor.
 const TIERED_MEMORY_BUDGET: u64 = 192 << 20;
-
-/// Window width for the batched measurement; matches the frontend's
-/// `access_batch` bracketing.
-const BATCH_WINDOW: u64 = 16;
 
 struct Measurement {
     accesses: u64,
@@ -87,10 +77,7 @@ impl Measurement {
 }
 
 /// The standard mixed read/write workload over one backend; best-of-windows
-/// rate, counters normalised over the whole run.  `batch_window > 0` wraps
-/// every `batch_window` accesses in a `begin_batch`/`end_batch` bracket, so
-/// the dedup scheduler's coalesced reads and one-seal-per-batch writebacks
-/// are on the measured path.
+/// rate, counters normalised over the whole run.
 #[allow(clippy::too_many_arguments)]
 fn measure(
     backend: &mut PathOramBackend,
@@ -101,7 +88,6 @@ fn measure(
     min_secs: f64,
     max_accesses: u64,
     windows: u32,
-    batch_window: u64,
 ) -> Measurement {
     let n = backend.params().num_blocks;
     let leaves = backend.params().num_leaves();
@@ -137,20 +123,8 @@ fn measure(
         let start = Instant::now();
         let mut done = 0u64;
         loop {
-            if batch_window > 0 {
-                let mut j = 0u64;
-                while j < 256 {
-                    backend.begin_batch();
-                    for i in 0..batch_window {
-                        one(backend, done + j + i, rng, posmap);
-                    }
-                    backend.end_batch().expect("benchmark batch flush");
-                    j += batch_window;
-                }
-            } else {
-                for i in 0..256 {
-                    one(backend, done + i, rng, posmap);
-                }
+            for i in 0..256 {
+                one(backend, done + i, rng, posmap);
             }
             done += 256;
             let secs = start.elapsed().as_secs_f64();
@@ -171,10 +145,9 @@ fn measure(
     }
 }
 
-/// Extracts the sequential `"accesses_per_sec"` of the `"store": "<label>"`
-/// tier from a `BENCH_storage.json` produced by this binary.  The
-/// sequential `"result"` block precedes `"batched_result"` in each tier
-/// object, so the first rate after the label is the sequential one.
+/// Extracts the `"accesses_per_sec"` of the `"store": "<label>"` tier from
+/// a `BENCH_storage.json` produced by this binary: the first rate after
+/// the label.
 fn parse_tier_rate(json: &str, label: &str) -> Option<f64> {
     let tier = json.find(&format!("\"store\": \"{label}\""))?;
     let key = "\"accesses_per_sec\": ";
@@ -232,14 +205,11 @@ fn main() {
             0,
         )
         .expect("backend construction");
-        // One position map per tier, shared by both measurements: the
-        // batched run continues from where the sequential run left the
-        // blocks, exactly like a frontend switching submission modes.
         let mut rng = StdRng::seed_from_u64(0x5708A6E);
         let mut posmap: Vec<u64> = (0..num_blocks)
             .map(|_| rng.gen_range(0..params.num_leaves()))
             .collect();
-        let sequential = measure(
+        let result = measure(
             &mut backend,
             &mut rng,
             &mut posmap,
@@ -248,33 +218,16 @@ fn main() {
             min_secs,
             max_accesses,
             windows,
-            0,
         );
-        let batched = measure(
-            &mut backend,
-            &mut rng,
-            &mut posmap,
-            warmup / 4,
-            min_accesses,
-            min_secs,
-            max_accesses,
-            windows,
-            BATCH_WINDOW,
-        );
-        eprintln!(
-            "  {label:>6}: {:>10.0} acc/s sequential, {:>10.0} acc/s batched",
-            sequential.accesses_per_sec, batched.accesses_per_sec
-        );
-        rates.push((label, sequential.accesses_per_sec));
+        eprintln!("  {label:>6}: {:>10.0} acc/s", result.accesses_per_sec);
+        rates.push((label, result.accesses_per_sec));
         if i > 0 {
             tiers_json.push_str(",\n");
         }
         let _ = write!(
             tiers_json,
-            "    {{\n      \"store\": \"{label}\",\n      \"result\": {},\n      \
-             \"batched_result\": {}\n    }}",
-            sequential.json("      "),
-            batched.json("      "),
+            "    {{\n      \"store\": \"{label}\",\n      \"result\": {}\n    }}",
+            result.json("      "),
         );
     }
 
@@ -287,7 +240,7 @@ fn main() {
     };
     let json = format!(
         "{{\n  \"benchmark\": \"storage_tiers\",\n  \"profile\": \"{profile}\",\n  \
-         \"mode\": \"aes_global_seed\",\n  \"batch_window\": {BATCH_WINDOW},\n  \
+         \"mode\": \"aes_global_seed\",\n  \
          \"tiered_memory_budget\": {TIERED_MEMORY_BUDGET},\n  \"design_point\": {{\n    \
          \"num_blocks\": {num_blocks},\n    \
          \"block_bytes\": {block_bytes},\n    \"z\": 4,\n    \"levels\": {},\n    \

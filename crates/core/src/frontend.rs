@@ -347,12 +347,16 @@ impl<B: OramBackend> FreecursiveOram<B> {
         let mut backend_state = Vec::new();
         self.backend.save_state(&mut backend_state)?;
         put_bytes(&mut payload, &backend_state);
+        // Tree first: the state file carries the WAL barrier, so it may
+        // only land once the tree it describes (arena included) is on disk.
+        // A kill in between leaves the previous state file, whose barrier
+        // the recovered tree no longer matches, and resume refuses it.
+        self.backend.persist_tree(dir, 0)?;
         path_oram::snapshot::write_state_file(
             &crate::persist::state_path(dir),
             crate::persist::KIND_FREECURSIVE,
             &payload,
         )?;
-        self.backend.persist_tree(dir, 0)?;
         Ok(())
     }
 
@@ -949,29 +953,14 @@ impl<B: OramBackend> Oram for FreecursiveOram<B> {
         // per-request `Request` cloning: write payloads are borrowed straight
         // out of the batch.  Contents are byte-identical to issuing the
         // requests one by one (pinned down by the integration tests).
-        //
-        // The whole batch runs inside one backend batch window, which lets
-        // the backend dedupe the upper tree levels shared by the batch's
-        // paths — read and sealed once per batch instead of once per access
-        // (a no-op over the in-memory arena).  The window is bracketed
-        // entirely inside this call, so snapshots never observe an open
-        // window.
-        self.backend.begin_batch();
-        let result: Result<Vec<Response>, FreecursiveError> = requests
+        requests
             .iter()
             .enumerate()
             .map(|(index, request)| {
                 self.access_ref(request)
                     .map_err(|e| e.with_batch_index(index))
             })
-            .collect();
-        // Close the window even when an access failed: earlier successful
-        // accesses in the batch have deferred writebacks that still must
-        // reach the store.  An access error stays the primary failure.
-        let flushed = self.backend.end_batch();
-        let responses = result?;
-        flushed?;
-        Ok(responses)
+            .collect()
     }
 
     fn access_batch_owned(

@@ -257,14 +257,16 @@ impl<B: OramBackend> RecursiveOram<B> {
             backend.save_state(&mut backend_state)?;
             put_bytes(&mut payload, &backend_state);
         }
+        // Trees first, then the barrier-carrying state file (see
+        // `FreecursiveOram::persist`).
+        for (level, backend) in self.backends.iter().enumerate() {
+            backend.persist_tree(dir, level as u32)?;
+        }
         path_oram::snapshot::write_state_file(
             &crate::persist::state_path(dir),
             crate::persist::KIND_RECURSIVE,
             &payload,
         )?;
-        for (level, backend) in self.backends.iter().enumerate() {
-            backend.persist_tree(dir, level as u32)?;
-        }
         Ok(())
     }
 
@@ -497,33 +499,14 @@ impl<B: OramBackend> Oram for RecursiveOram<B> {
     }
 
     fn access_batch(&mut self, requests: &[Request]) -> Result<Vec<Response>, FreecursiveError> {
-        // One backend batch window per level for the whole batch: each
-        // level's ORAM dedupes the upper tree buckets shared by the batch's
-        // paths (read/sealed once per batch, not once per access).  The
-        // windows are bracketed entirely inside this call — closed even when
-        // an access fails, since earlier accesses' deferred writebacks must
-        // still reach the stores; an access error stays the primary failure.
-        for backend in &mut self.backends {
-            backend.begin_batch();
-        }
-        let result: Result<Vec<Response>, FreecursiveError> = requests
+        requests
             .iter()
             .enumerate()
             .map(|(index, request)| {
                 self.access_ref(request)
                     .map_err(|e| e.with_batch_index(index))
             })
-            .collect();
-        let mut flushed = Ok(());
-        for backend in &mut self.backends {
-            let end = backend.end_batch();
-            if flushed.is_ok() {
-                flushed = end;
-            }
-        }
-        let responses = result?;
-        flushed?;
-        Ok(responses)
+            .collect()
     }
 
     fn access_batch_owned(

@@ -5,7 +5,7 @@
 //! with a 64-bit bus (≈10.67 GB/s peak per channel), and lays the ORAM tree
 //! out with the *subtree layout* of Ren et al. \[26\] so a path read achieves
 //! close to peak bandwidth (§7.1.1–§7.1.2).  The same subtree layout maps
-//! buckets to file offsets in `path-oram`'s file store — see
+//! buckets to file offsets in the file tier of `path-oram`'s tree store — see
 //! `docs/ARCHITECTURE.md` at the workspace root.
 //!
 //! This crate provides:

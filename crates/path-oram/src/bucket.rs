@@ -8,8 +8,8 @@
 //!
 //! * the zero-copy codec — [`BucketView`] parses a plaintext image into
 //!   borrowed slot views and [`BucketWriter`] serialises straight into a
-//!   caller-provided image (an arena slot of [`crate::MemStore`], or the
-//!   eviction staging buffer for file-backed stores) — is what the
+//!   caller-provided image (an arena slot of [`crate::TreeStorage`], or the
+//!   eviction staging buffer for file-tier levels) — is what the
 //!   backend's hot path uses;
 //! * the owned [`Bucket`] type remains for construction-time code and tests
 //!   that want a materialised bucket.

@@ -1,50 +1,67 @@
-//! Pluggable untrusted external memory holding the encrypted ORAM tree.
+//! Untrusted external memory holding the encrypted ORAM tree.
 //!
 //! The protocol only ever assumes `ReadBucket`/`WriteBucket` on untrusted
-//! storage (§2), so the tree's home is a seam: the [`TreeStore`] trait
-//! describes bucket-slot get/put over the `bucket_bytes` stride (plus the
-//! batched whole-path access the one-pass seal/decrypt pipeline uses), with
-//! three implementations:
+//! storage (§2), and the treetop observation (§5.1) is the only reason to
+//! keep part of the tree in RAM: level `ℓ` has `2^ℓ` buckets and every
+//! access touches one of them, so the top levels carry all the reuse.
+//! [`TreeStorage`] is the one store built on those two facts.  It holds
 //!
-//! * [`MemStore`] — the original flat zeroed arena.  This is the hot-path
-//!   store: the backend keeps its zero-copy access to the arena, so putting
-//!   the trait in front costs the memory path nothing.
-//! * [`FileStore`] — a sparse file addressed with positional I/O
-//!   ([`std::os::unix::fs::FileExt`]), laid out with the subtree layout of
-//!   Ren et al. \[26\] ([`dram_sim::SubtreeLayout`]) so a root-to-leaf path
-//!   falls into at most ⌈levels/k⌉ contiguous extents.  Capacity is bounded
-//!   by disk, not RAM, and the tree survives process exit.
-//! * [`TieredStore`] — the treetop split of the two: the top `K` tree
-//!   levels (the buckets *every* access touches — the paper's treetop
-//!   observation, §5.1) live in a RAM arena while levels ≥ `K` spill to a
-//!   whole-tree [`FileStore`] underneath, with `K` derived from a byte
-//!   budget ([`treetop_levels_for_budget`]).  See the type-level docs for
-//!   the tier invariants and the WAL-exemption argument.
+//! * a RAM **arena** for the top `K` levels (linear bucket indices below
+//!   `2^K - 1`), and
+//! * an optional **file tier** for levels ≥ `K`: one sparse file addressed
+//!   with positional I/O ([`std::os::unix::fs::FileExt`]), laid out with
+//!   the subtree layout of Ren et al. \[26\] ([`dram_sim::SubtreeLayout`])
+//!   so a root-to-leaf path falls into at most ⌈levels/k⌉ contiguous
+//!   extents, plus its write-ahead log and checkpoints.
 //!
-//! [`TreeStorage`] is the concrete enum the backend holds (three-variant
-//! static dispatch; no boxing on the hot path).  All stores expose the same
-//! *active-adversary* API the threat model needs (§2): flipping bits,
-//! replaying stale buckets, and rolling back bucket seeds — for the file
-//! store these tamper with the actual bytes on disk.
+//! The three classic configurations are points of that one design: the
+//! in-memory store is `K = levels` with no file tier, the file store is
+//! `K = 0`, and the tiered store takes `K` from a byte budget
+//! ([`treetop_levels_for_budget`]).  Because a path's linear indices are
+//! `2^ℓ - 1 ≤ index < 2^{ℓ+1} - 1` at level `ℓ`, "level < K" is exactly
+//! "index < 2^K - 1": tier routing is one comparison, and a root-to-leaf
+//! path splits into a contiguous arena prefix plus a contiguous file
+//! suffix.
+//!
+//! The store exposes the *active-adversary* API the threat model needs
+//! (§2) — flipping bits, replaying stale buckets, rolling back bucket seeds
+//! — written once over raw bucket get/put, so on the file tier it tampers
+//! with the actual bytes on disk.
 //!
 //! Where this module sits in the stack — and how a path access flows
 //! through it — is mapped end to end in `docs/ARCHITECTURE.md` at the
 //! workspace root.
 //!
-//! With a [`Durability`] discipline other than `None`, the file store keeps
-//! a write-ahead log (see [`crate::wal`]): every path writeback is appended
-//! to `tree<label>.wal` before the tree file is touched, the log is folded
-//! into the `tree<label>.meta` checkpoint every `checkpoint_interval`
-//! writebacks, and [`FileStore::open`] replays the checksum-valid log tail
-//! past the last checkpoint — so a kill at any instant recovers to a
-//! consistent prefix of the access history.
+//! # Durability
 //!
-//! # What the file store does and does not leak
+//! With a [`Durability`] discipline other than `None`, every file-tier
+//! path writeback is appended to `tree<label>.wal` before the tree file is
+//! touched, the log is folded into the `tree<label>.meta` checkpoint every
+//! `checkpoint_interval` writebacks, and [`TreeStorage::open`] replays the
+//! checksum-valid log tail past the last checkpoint — so a kill at any
+//! instant recovers the file tier to a consistent prefix of the access
+//! history.
+//!
+//! Arena writes are **not** logged: logging them would bring back the
+//! per-access I/O the arena exists to remove.  The arena is folded into
+//! the tree file by [`TreeStorage::checkpoint`] and by an in-place
+//! [`TreeStorage::persist_to`].  Recovery still never *silently* serves a
+//! stale arena: the controller snapshot records the WAL sequence number as
+//! a barrier, persisting writes the tree (arena included) before the
+//! controller state that carries the barrier, and
+//! `PathOramBackend::load_controller_state` refuses any store whose
+//! recovered sequence number differs from it.  A kill between persists
+//! therefore resumes from the last completed persist or is rejected with a
+//! descriptive error.  Known limit: a store with no file-tier writes (no
+//! file tier at all, or `K = levels`) never advances the barrier, so the
+//! check cannot see a stale arena there.
+//!
+//! # What the file tier does and does not leak
 //!
 //! File offsets are a deterministic function of bucket indices, exactly as
-//! arena offsets were: an observer of file I/O sees the same
+//! arena offsets are: an observer of file I/O sees the same
 //! one-path-read-one-path-write trace per access that a DRAM adversary saw.
-//! Obliviousness is unchanged.  What the file store adds is *persistence
+//! Obliviousness is unchanged.  What the file tier adds is *persistence
 //! residue*: bucket ciphertexts outlive the process, so the snapshot
 //! machinery (and the operator) must treat tree files as untrusted
 //! ciphertext, which they already are in the threat model.
@@ -54,6 +71,7 @@ use crate::params::OramParams;
 use crate::snapshot::{self, SnapReader};
 use crate::wal::{self, Durability, Wal};
 use dram_sim::SubtreeLayout;
+use std::cell::Cell;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -68,7 +86,7 @@ pub const FILE_SUBTREE_LEVELS: u32 = 4;
 const TREE_META_KIND: u8 = 0x10;
 
 /// Writebacks between automatic WAL checkpoints (see
-/// [`FileStore::checkpoint`]).  At the paper's ~320-byte buckets and
+/// [`TreeStorage::checkpoint`]).  At the paper's ~320-byte buckets and
 /// ~20-level paths this folds the log roughly every 6 MB, keeping replay
 /// time and log residue bounded without making checkpoint fsyncs a
 /// per-access cost.
@@ -77,13 +95,13 @@ pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 1024;
 /// Where a backend keeps its ORAM tree.
 ///
 /// Construction-time knob, threaded from `OramBuilder::storage` through the
-/// frontends to [`TreeStorage::create`].  Backends without untrusted tree
+/// frontends to [`TreeStorage::for_kind`].  Backends without untrusted tree
 /// storage (e.g. the flat insecure baseline) ignore it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageKind {
-    /// The in-memory arena ([`MemStore`]); the default.
+    /// The whole tree in a RAM arena, no file tier; the default.
     Mem,
-    /// A file-backed tree ([`FileStore`]) living in the given directory.
+    /// A file-backed tree (`K = 0`: no arena) living in the given directory.
     /// Constructing a *fresh* instance truncates any tree files already
     /// there; resuming a snapshot reopens them in place.
     File {
@@ -95,7 +113,7 @@ pub enum StorageKind {
     /// when the store is dropped.  This is what `ORAM_STORAGE=file` resolves
     /// to: every test/benchmark instance gets its own throwaway tree files.
     TempFile,
-    /// A tiered tree ([`TieredStore`]) living in the given directory: the
+    /// A tiered tree living in the given directory: the
     /// top levels in a RAM arena (as many as `memory_budget` bytes allow,
     /// see [`treetop_levels_for_budget`]), everything deeper in the same
     /// on-disk format as [`StorageKind::File`].
@@ -301,133 +319,65 @@ impl StorageKind {
     }
 }
 
-/// The storage seam: bucket-slot get/put over the `bucket_bytes` stride,
-/// batched whole-path access, the active-adversary tampering API, and
-/// snapshot persistence.
-///
-/// A bucket that has never been written reads as all zero bytes; the
-/// initialised bitmap tells the backend which buckets to skip.  All methods
-/// are indexed by the *linear* (heap-order) bucket index of
-/// [`crate::tree::bucket_linear_index`]; where buckets land physically
-/// (arena offset, file offset under the subtree layout) is the store's
-/// business.
+/// Raw bucket I/O over untrusted memory: the paper's `ReadBucket` /
+/// `WriteBucket` (§2) plus the batched whole-path forms of the one-pass
+/// cipher pipeline, indexed by *linear* (heap-order) bucket index (see
+/// [`crate::tree::bucket_linear_index`]).  [`TreeStorage`] implements it;
+/// the trait lets code such as benchmark probes stay generic over the
+/// store.
 pub trait TreeStore: std::fmt::Debug + Send {
-    /// Number of buckets.
-    fn num_buckets(&self) -> usize;
-
-    /// Serialised bucket size in bytes.
-    fn bucket_bytes(&self) -> usize;
-
-    /// Whether a bucket has ever been written.
-    fn is_initialized(&self, index: u64) -> bool;
-
-    /// Copies the raw (encrypted) image of a bucket into `out`, which must
-    /// be exactly `bucket_bytes` long.  Uninitialised buckets read as zero
-    /// bytes.
+    /// See [`TreeStorage::read_bucket_into`].
     ///
     /// # Errors
     ///
     /// [`OramError::Storage`] on I/O failure.
     fn read_bucket_into(&self, index: u64, out: &mut [u8]) -> Result<(), OramError>;
 
-    /// Writes the raw image of a bucket, marking it initialised.  `image`
-    /// must be exactly `bucket_bytes` long.
+    /// See [`TreeStorage::write_bucket`].
     ///
     /// # Errors
     ///
     /// [`OramError::Storage`] on I/O failure.
     fn write_bucket(&mut self, index: u64, image: &[u8]) -> Result<(), OramError>;
 
-    /// Batched span read: copies every *initialised* bucket of `indices`
-    /// into `buf` at stride `level * bucket_bytes`.  Slots of uninitialised
-    /// buckets are left untouched (the caller skips them via
-    /// [`TreeStore::is_initialized`]).  This is the read half of the
-    /// one-pass path pipeline: the caller decrypts the whole buffer in one
-    /// batched cipher pass afterwards.  The default reads bucket by bucket;
-    /// the file store overrides it to coalesce the path into its subtree
-    /// extents (one positional read per extent).  Takes `&mut self` so
-    /// overrides can stage through a reusable scratch buffer.
+    /// See [`TreeStorage::read_path_into`].
     ///
     /// # Errors
     ///
     /// [`OramError::Storage`] on I/O failure.
-    fn read_path_into(&mut self, indices: &[u64], buf: &mut [u8]) -> Result<(), OramError> {
-        let bb = self.bucket_bytes();
-        for (level, &index) in indices.iter().enumerate() {
-            if self.is_initialized(index) {
-                self.read_bucket_into(index, &mut buf[level * bb..(level + 1) * bb])?;
-            }
-        }
-        Ok(())
-    }
+    fn read_path_into(&mut self, indices: &[u64], buf: &mut [u8]) -> Result<(), OramError>;
 
-    /// Batched span write: writes every bucket of `indices` from `buf` at
-    /// stride `level * bucket_bytes`, marking all of them initialised — the
-    /// write half of the pipeline, called once per eviction after the
-    /// batched sealing pass.  Writes stay one positional write per bucket
-    /// even on the file store: a path's buckets are interleaved with
-    /// *other* paths' buckets inside each subtree extent, so an
-    /// extent-sized write would clobber neighbours (reads have no such
-    /// hazard, which is why only they coalesce).
+    /// See [`TreeStorage::write_path`].
     ///
     /// # Errors
     ///
     /// [`OramError::Storage`] on I/O failure.
-    fn write_path(&mut self, indices: &[u64], buf: &[u8]) -> Result<(), OramError> {
-        let bb = self.bucket_bytes();
-        for (level, &index) in indices.iter().enumerate() {
-            self.write_bucket(index, &buf[level * bb..(level + 1) * bb])?;
-        }
-        Ok(())
-    }
-
-    /// Total bytes currently resident (diagnostics): initialised buckets
-    /// times the bucket size.
-    fn resident_bytes(&self) -> u64;
-
-    // ------------------------------------------------------------------
-    // Active-adversary API (§2): these model a malicious data centre.
-    // ------------------------------------------------------------------
-
-    /// Flips the bits of `mask` at `offset` within bucket `index`; returns
-    /// `false` (and does nothing) if the bucket is uninitialised or the
-    /// offset is out of range.  For the file store this flips the byte on
-    /// disk.
-    fn tamper_xor(&mut self, index: u64, offset: usize, mask: u8) -> bool;
-
-    /// Takes a snapshot of a bucket's current ciphertext (for replay
-    /// attacks).  An uninitialised bucket snapshots as an empty vector.
-    fn snapshot_bucket(&self, index: u64) -> Vec<u8>;
-
-    /// Replays a previously snapshotted ciphertext into a bucket.  An empty
-    /// snapshot restores the bucket to its uninitialised (all-zero) state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot length is neither zero nor a full bucket
-    /// image (test-harness contract, mirroring the original arena API).
-    fn replay_bucket(&mut self, index: u64, snapshot: &[u8]);
-
-    /// Rolls back the plaintext seed field in a bucket header by `delta`
-    /// (the seed is stored in the clear, §6.4).  Returns `false` if the
-    /// bucket is uninitialised.
-    fn rollback_seed(&mut self, index: u64, delta: u64) -> bool;
-
-    // ------------------------------------------------------------------
-    // Persistence.
-    // ------------------------------------------------------------------
-
-    /// Persists the tree into `dir` as `tree<label>.oram` (bucket images at
-    /// their subtree-layout offsets; one common format for both stores, so
-    /// a memory-built snapshot can resume file-backed and vice versa) plus
-    /// `tree<label>.meta` (geometry + initialised bitmap, digest-sealed).
-    /// A file store persisting into its own live directory just flushes.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Storage`] on I/O failure.
-    fn persist_to(&self, dir: &Path, label: u32) -> Result<(), OramError>;
+    fn write_path(&mut self, indices: &[u64], buf: &[u8]) -> Result<(), OramError>;
 }
+
+impl TreeStore for TreeStorage {
+    fn read_bucket_into(&self, index: u64, out: &mut [u8]) -> Result<(), OramError> {
+        TreeStorage::read_bucket_into(self, index, out)
+    }
+
+    fn write_bucket(&mut self, index: u64, image: &[u8]) -> Result<(), OramError> {
+        TreeStorage::write_bucket(self, index, image)
+    }
+
+    fn read_path_into(&mut self, indices: &[u64], buf: &mut [u8]) -> Result<(), OramError> {
+        TreeStorage::read_path_into(self, indices, buf)
+    }
+
+    fn write_path(&mut self, indices: &[u64], buf: &[u8]) -> Result<(), OramError> {
+        TreeStorage::write_path(self, indices, buf)
+    }
+}
+
+/// The store configured as the in-memory arena ([`TreeStorage::new`]).
+pub type MemStore = TreeStorage;
+
+/// The store configured with a file tier ([`TreeStorage::create`]).
+pub type TieredStore = TreeStorage;
 
 /// The subtree layout every tree file uses (base 0, `k` =
 /// [`FILE_SUBTREE_LEVELS`] capped at the tree height).
@@ -438,12 +388,6 @@ fn file_layout(params: &OramParams) -> SubtreeLayout {
         FILE_SUBTREE_LEVELS.min(params.levels()),
         0,
     )
-}
-
-/// Bytes of one full subtree extent under `layout`: the coalescing window
-/// (and staging-buffer size) of the file store's path reads.
-fn extent_bytes(layout: &SubtreeLayout, bucket_bytes: usize) -> usize {
-    (((1usize << layout.subtree_levels()) - 1) * bucket_bytes).max(bucket_bytes)
 }
 
 /// Tree file path for `label` under `dir`.
@@ -566,875 +510,6 @@ fn bit_clear(bitmap: &mut [u64], index: u64) {
     bitmap[index as usize / 64] &= !(1u64 << (index % 64));
 }
 
-fn popcount_bytes(bitmap: &[u64], bucket_bytes: usize) -> u64 {
-    let buckets: u64 = bitmap.iter().map(|w| u64::from(w.count_ones())).sum();
-    buckets * bucket_bytes as u64
-}
-
-// =====================================================================
-// MemStore
-// =====================================================================
-
-/// The in-memory tree store: one flat, contiguous arena of encrypted bucket
-/// images.
-///
-/// Bucket `i` occupies `[i * bucket_bytes, (i + 1) * bucket_bytes)` of the
-/// arena, so a path read is `L + 1` slice views into one allocation.  The
-/// arena is allocated zeroed in one shot; on the platforms we target the
-/// allocator services large zeroed requests with untouched copy-on-write
-/// pages, so a mostly-empty tree costs physical memory only for the buckets
-/// actually written.
-///
-/// Beyond the [`TreeStore`] contract, `MemStore` exposes the zero-copy
-/// arena accessors ([`MemStore::read_bucket`], [`MemStore::bucket_slot_mut`],
-/// [`MemStore::arena_mut`]) the backend's hot path is built on.
-#[derive(Debug, Clone)]
-pub struct MemStore {
-    arena: Vec<u8>,
-    /// One bit per bucket: has this bucket ever been written?
-    initialized: Vec<u64>,
-    bucket_bytes: usize,
-    num_buckets: usize,
-    levels: u32,
-    /// The WAL sequence number this store's contents cover: 0 for a fresh
-    /// arena, the recovered sequence number after [`MemStore::load`].  The
-    /// memory store never logs (there is nothing to make durable), but it
-    /// carries the counter so a file-backed WAL'd snapshot can resume
-    /// in-memory and the controller barrier check still lines up.
-    wal_seq: u64,
-}
-
-impl MemStore {
-    /// Allocates storage for every bucket of the tree described by `params`.
-    /// All buckets start uninitialised (and all-zero).
-    pub fn new(params: &OramParams) -> Self {
-        let num_buckets = params.num_buckets() as usize;
-        let bucket_bytes = params.bucket_bytes();
-        Self {
-            arena: vec![0u8; num_buckets * bucket_bytes],
-            initialized: vec![0u64; num_buckets.div_ceil(64)],
-            bucket_bytes,
-            num_buckets,
-            levels: params.levels(),
-            wal_seq: 0,
-        }
-    }
-
-    /// Loads a memory store from tree files persisted under `dir` (the
-    /// common on-disk format, see [`TreeStore::persist_to`]).
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Storage`] on I/O failure, [`OramError::Snapshot`] /
-    /// [`OramError::IntegrityViolation`] for bad metadata.
-    pub fn load(params: &OramParams, dir: &Path, label: u32) -> Result<Self, OramError> {
-        let mut store = Self::new(params);
-        let meta = tree_meta_path(dir, label);
-        let (initialized, meta_seq) = read_tree_meta(
-            &meta,
-            store.num_buckets,
-            store.bucket_bytes,
-            FILE_SUBTREE_LEVELS.min(params.levels()),
-        )?;
-        store.initialized = initialized;
-        store.wal_seq = meta_seq;
-        let tree_path = tree_file_path(dir, label);
-        let file = File::open(&tree_path).map_err(|e| io_err("opening", &tree_path, e))?;
-        let layout = file_layout(params);
-        for index in 0..store.num_buckets as u64 {
-            if !bit_get(&store.initialized, index) {
-                continue;
-            }
-            let offset = layout.linear_bucket_address(index);
-            let range = store.range(index);
-            file.read_exact_at(&mut store.arena[range], offset)
-                .map_err(|e| io_err_bucket("load bucket", index, &tree_path, e))?;
-        }
-        // If the snapshot directory carries a WAL (a WAL'd file store that
-        // crashed or simply never re-checkpointed), replay its checksum-valid
-        // tail into the arena so the memory resume sees the same recovered
-        // tree a file resume would.
-        let num_buckets = store.num_buckets as u64;
-        let bucket_bytes = store.bucket_bytes;
-        let wal_path = wal::wal_file_path(dir, label);
-        let summary = wal::replay(&wal_path, bucket_bytes, |seq, indices, images| {
-            for (i, &index) in indices.iter().enumerate() {
-                if index >= num_buckets {
-                    return Err(OramError::Storage {
-                        detail: format!(
-                            "WAL record {seq} names bucket {index} outside the \
-                             {num_buckets}-bucket tree @ {}",
-                            wal_path.display()
-                        ),
-                    });
-                }
-                let range = store.range(index);
-                store.arena[range]
-                    .copy_from_slice(&images[i * bucket_bytes..(i + 1) * bucket_bytes]);
-                bit_set(&mut store.initialized, index);
-            }
-            Ok(())
-        })?;
-        if let Some(s) = summary {
-            if s.header_valid {
-                store.wal_seq = store.wal_seq.max(s.last_seq);
-            }
-        }
-        Ok(store)
-    }
-
-    /// The WAL sequence number this store's contents cover (see the field
-    /// docs; always 0 for a store that was never loaded from a WAL'd
-    /// snapshot).
-    pub fn wal_seq(&self) -> u64 {
-        self.wal_seq
-    }
-
-    // lint: ct-scope, no-alloc
-    #[inline]
-    fn range(&self, index: u64) -> std::ops::Range<usize> {
-        let start = index as usize * self.bucket_bytes;
-        start..start + self.bucket_bytes
-    }
-
-    /// Reads the raw (encrypted) image of a bucket: a `bucket_bytes`-long
-    /// view into the arena.  A bucket that has never been written reads as
-    /// all zero bytes; check [`TreeStore::is_initialized`] to distinguish.
-    #[inline]
-    pub fn read_bucket(&self, index: u64) -> &[u8] {
-        &self.arena[self.range(index)]
-    }
-
-    /// Mutable view of a bucket's arena slot, marking the bucket
-    /// initialised.  This is the zero-copy write path: the backend
-    /// serialises and seals the eviction output directly into the slot.
-    #[inline]
-    pub fn bucket_slot_mut(&mut self, index: u64) -> &mut [u8] {
-        self.mark_initialized(index);
-        let range = self.range(index);
-        &mut self.arena[range]
-    }
-
-    /// Byte offset of a bucket's image within the arena (see
-    /// [`MemStore::arena_mut`]).
-    #[inline]
-    pub fn bucket_offset(&self, index: u64) -> usize {
-        index as usize * self.bucket_bytes
-    }
-
-    /// The whole arena, mutable.  This is the batched-cipher hook: the
-    /// backend serialises a path's buckets into their slots via
-    /// [`MemStore::bucket_slot_mut`] (which marks them initialised), then
-    /// seals all of them in one keystream pass over this slice using
-    /// [`MemStore::bucket_offset`]-based spans.  Does **not** mark anything
-    /// initialised.
-    #[inline]
-    pub fn arena_mut(&mut self) -> &mut [u8] {
-        &mut self.arena
-    }
-
-    fn mark_initialized(&mut self, index: u64) {
-        bit_set(&mut self.initialized, index);
-    }
-    // lint: end
-}
-
-impl TreeStore for MemStore {
-    fn num_buckets(&self) -> usize {
-        self.num_buckets
-    }
-
-    fn bucket_bytes(&self) -> usize {
-        self.bucket_bytes
-    }
-
-    #[inline]
-    fn is_initialized(&self, index: u64) -> bool {
-        bit_get(&self.initialized, index)
-    }
-
-    fn read_bucket_into(&self, index: u64, out: &mut [u8]) -> Result<(), OramError> {
-        out.copy_from_slice(self.read_bucket(index));
-        Ok(())
-    }
-
-    fn write_bucket(&mut self, index: u64, image: &[u8]) -> Result<(), OramError> {
-        assert_eq!(
-            image.len(),
-            self.bucket_bytes,
-            "bucket image must be exactly bucket_bytes long"
-        );
-        self.bucket_slot_mut(index).copy_from_slice(image);
-        Ok(())
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        popcount_bytes(&self.initialized, self.bucket_bytes)
-    }
-
-    fn tamper_xor(&mut self, index: u64, offset: usize, mask: u8) -> bool {
-        if index as usize >= self.num_buckets
-            || offset >= self.bucket_bytes
-            || !self.is_initialized(index)
-        {
-            return false;
-        }
-        let start = self.range(index).start;
-        self.arena[start + offset] ^= mask;
-        true
-    }
-
-    fn snapshot_bucket(&self, index: u64) -> Vec<u8> {
-        if self.is_initialized(index) {
-            self.read_bucket(index).to_vec()
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn replay_bucket(&mut self, index: u64, snapshot: &[u8]) {
-        assert!(
-            snapshot.is_empty() || snapshot.len() == self.bucket_bytes,
-            "snapshot must be a full bucket image"
-        );
-        if snapshot.is_empty() {
-            let range = self.range(index);
-            self.arena[range].fill(0);
-            bit_clear(&mut self.initialized, index);
-        } else {
-            self.write_bucket(index, snapshot)
-                .expect("arena writes are infallible");
-        }
-    }
-
-    fn rollback_seed(&mut self, index: u64, delta: u64) -> bool {
-        if !self.is_initialized(index) {
-            return false;
-        }
-        let start = self.range(index).start;
-        let header = &mut self.arena[start..start + 8];
-        let seed = u64::from_le_bytes(header.try_into().expect("8-byte header"));
-        header.copy_from_slice(&seed.wrapping_sub(delta).to_le_bytes());
-        true
-    }
-
-    fn persist_to(&self, dir: &Path, label: u32) -> Result<(), OramError> {
-        std::fs::create_dir_all(dir).map_err(|e| io_err("creating", dir, e))?;
-        let tree_path = tree_file_path(dir, label);
-        let file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tree_path)
-            .map_err(|e| io_err("creating", &tree_path, e))?;
-        // The tree file carries bucket images at their subtree-layout
-        // offsets: the arena is linear heap order, so this is a permuting
-        // copy of the initialised buckets into a sparse file.
-        let layout = SubtreeLayout::new(
-            self.levels,
-            self.bucket_bytes as u64,
-            FILE_SUBTREE_LEVELS.min(self.levels),
-            0,
-        );
-        file.set_len(layout.total_bytes())
-            .map_err(|e| io_err("sizing", &tree_path, e))?;
-        for index in 0..self.num_buckets as u64 {
-            if !self.is_initialized(index) {
-                continue;
-            }
-            let offset = layout.linear_bucket_address(index);
-            file.write_all_at(self.read_bucket(index), offset)
-                .map_err(|e| io_err_bucket("persist bucket", index, &tree_path, e))?;
-        }
-        file.sync_all()
-            .map_err(|e| io_err("syncing", &tree_path, e))?;
-        // A stale WAL beside the target would replay over the fresh tree on
-        // resume; this snapshot is complete, so drop it.
-        let _ = std::fs::remove_file(wal::wal_file_path(dir, label));
-        write_tree_meta(
-            &tree_meta_path(dir, label),
-            self.num_buckets,
-            self.bucket_bytes,
-            FILE_SUBTREE_LEVELS.min(self.levels),
-            &self.initialized,
-            self.wal_seq,
-        )
-    }
-}
-
-// =====================================================================
-// FileStore
-// =====================================================================
-
-/// The file-backed tree store: bucket images in one sparse file at their
-/// [`dram_sim::SubtreeLayout`] offsets, accessed with positional I/O.
-///
-/// The initialised bitmap lives in memory while the store is live and is
-/// written to the sidecar `tree<label>.meta` file by
-/// [`TreeStore::persist_to`] and by WAL checkpoints.  Crash consistency
-/// depends on the [`Durability`] discipline the store was built with:
-/// under [`Durability::None`] the tree is consistent only at successful
-/// `persist` boundaries (the pre-WAL behaviour); under `Batch`/`Strict`
-/// every writeback is logged to `tree<label>.wal` before it is applied and
-/// [`FileStore::open`] replays the checksum-valid log tail, so a kill at
-/// any instant recovers to a consistent prefix of the access history.
-#[derive(Debug)]
-pub struct FileStore {
-    file: File,
-    tree_path: PathBuf,
-    dir: PathBuf,
-    label: u32,
-    layout: SubtreeLayout,
-    initialized: Vec<u64>,
-    bucket_bytes: usize,
-    num_buckets: usize,
-    /// Reusable staging buffer for coalesced path reads, sized to one
-    /// subtree extent (`(2^k - 1) * bucket_bytes`); allocated once so the
-    /// steady-state access path stays allocation-free.
-    extent_buf: Vec<u8>,
-    /// Set for [`StorageKind::TempFile`] stores: the directory is removed
-    /// on drop.
-    remove_on_drop: bool,
-    /// The write-ahead log; `None` under [`Durability::None`], in which
-    /// case the whole logging/checkpointing machinery is inert.
-    wal: Option<Wal>,
-    /// Sequence number of the last writeback applied to the tree (== the
-    /// last WAL append when logging, frozen at its recovered value when
-    /// not).
-    wal_seq: u64,
-    /// Writebacks since the last checkpoint fold.
-    records_since_checkpoint: u64,
-    /// Auto-checkpoint cadence in writebacks.
-    checkpoint_interval: u64,
-    /// Fault injection (kill-point suite): remaining bucket writes the
-    /// tree file will accept before a simulated kill.
-    fail_tree_writes_after: Option<u64>,
-}
-
-impl FileStore {
-    /// Creates a **fresh** file-backed tree under `dir` (truncating any
-    /// existing `tree<label>` files there).  Under a logged [`Durability`]
-    /// the store also writes an initial (empty) checkpoint and opens a
-    /// fresh WAL, so a kill before the first explicit `persist` already
-    /// recovers instead of leaving an unreadable directory.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Storage`] on I/O failure.
-    pub fn create(
-        params: &OramParams,
-        dir: &Path,
-        label: u32,
-        durability: Durability,
-    ) -> Result<Self, OramError> {
-        std::fs::create_dir_all(dir).map_err(|e| io_err("creating", dir, e))?;
-        let tree_path = tree_file_path(dir, label);
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tree_path)
-            .map_err(|e| io_err("creating", &tree_path, e))?;
-        let layout = file_layout(params);
-        // A sparse file: the full tree geometry is reserved in the address
-        // space, but unwritten regions occupy no disk blocks (the file
-        // analogue of the arena's copy-on-write zero pages).
-        file.set_len(layout.total_bytes())
-            .map_err(|e| io_err("sizing", &tree_path, e))?;
-        // A fresh tree owes nothing to any previous occupant of the
-        // directory: a leftover log would replay a stranger's buckets.
-        let _ = std::fs::remove_file(wal::wal_file_path(dir, label));
-        let num_buckets = params.num_buckets() as usize;
-        let extent_buf = vec![0u8; extent_bytes(&layout, params.bucket_bytes())];
-        let mut store = Self {
-            file,
-            tree_path,
-            dir: dir.to_path_buf(),
-            label,
-            layout,
-            initialized: vec![0u64; num_buckets.div_ceil(64)],
-            bucket_bytes: params.bucket_bytes(),
-            num_buckets,
-            extent_buf,
-            remove_on_drop: false,
-            wal: None,
-            wal_seq: 0,
-            records_since_checkpoint: 0,
-            checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
-            fail_tree_writes_after: None,
-        };
-        if durability.is_logged() {
-            store.checkpoint()?;
-            store.wal = Some(Wal::create(
-                &store.dir,
-                label,
-                store.bucket_bytes,
-                0,
-                durability,
-            )?);
-        }
-        Ok(store)
-    }
-
-    /// Creates a fresh file-backed tree in a unique temporary directory
-    /// that is removed when the store is dropped.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Storage`] on I/O failure.
-    pub fn create_temp(
-        params: &OramParams,
-        label: u32,
-        durability: Durability,
-    ) -> Result<Self, OramError> {
-        let unique = format!(
-            "oram-tree-{}-{}",
-            std::process::id(),
-            TEMP_STORE_COUNTER.fetch_add(1, Ordering::Relaxed)
-        );
-        let dir = std::env::temp_dir().join(unique);
-        let mut store = Self::create(params, &dir, label, durability)?;
-        store.remove_on_drop = true;
-        Ok(store)
-    }
-
-    /// Reopens a persisted file-backed tree in place: the snapshot
-    /// directory becomes (or stays) the live storage directory.
-    ///
-    /// Recovery happens here: if a `tree<label>.wal` is present its
-    /// checksum-valid tail is replayed into the tree (stopping cleanly at
-    /// the first torn or invalid record — the expected shape of a crash),
-    /// the recovered state is folded into a fresh checkpoint, and — under
-    /// a logged [`Durability`] — a new log generation is opened.  Replay is
-    /// idempotent (records are full bucket post-images), so it does not
-    /// matter how much of the log the tree file had already absorbed before
-    /// the kill.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Storage`] on I/O failure, [`OramError::Snapshot`] /
-    /// [`OramError::IntegrityViolation`] for missing or corrupt metadata.
-    pub fn open(
-        params: &OramParams,
-        dir: &Path,
-        label: u32,
-        durability: Durability,
-    ) -> Result<Self, OramError> {
-        let num_buckets = params.num_buckets() as usize;
-        let bucket_bytes = params.bucket_bytes();
-        let (mut initialized, meta_seq) = read_tree_meta(
-            &tree_meta_path(dir, label),
-            num_buckets,
-            bucket_bytes,
-            FILE_SUBTREE_LEVELS.min(params.levels()),
-        )?;
-        let tree_path = tree_file_path(dir, label);
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&tree_path)
-            .map_err(|e| io_err("opening", &tree_path, e))?;
-        let layout = file_layout(params);
-        let actual = file
-            .metadata()
-            .map_err(|e| io_err("inspecting", &tree_path, e))?
-            .len();
-        if actual < layout.total_bytes() {
-            return Err(OramError::Snapshot {
-                detail: format!(
-                    "tree file {} is short: {actual} bytes, expected {}",
-                    tree_path.display(),
-                    layout.total_bytes()
-                ),
-            });
-        }
-        // Replay the checksum-valid WAL tail (if any) over the tree file.
-        let wal_path = wal::wal_file_path(dir, label);
-        let summary = wal::replay(&wal_path, bucket_bytes, |seq, indices, images| {
-            for (i, &index) in indices.iter().enumerate() {
-                if index >= num_buckets as u64 {
-                    return Err(OramError::Storage {
-                        detail: format!(
-                            "WAL record {seq} names bucket {index} outside the \
-                             {num_buckets}-bucket tree @ {}",
-                            wal_path.display()
-                        ),
-                    });
-                }
-                file.write_all_at(
-                    &images[i * bucket_bytes..(i + 1) * bucket_bytes],
-                    layout.linear_bucket_address(index),
-                )
-                .map_err(|e| io_err_bucket("replay bucket", index, &tree_path, e))?;
-                bit_set(&mut initialized, index);
-            }
-            Ok(())
-        })?;
-        let mut wal_seq = meta_seq;
-        if let Some(s) = &summary {
-            if s.header_valid {
-                wal_seq = wal_seq.max(s.last_seq);
-            }
-        }
-        let extent_buf = vec![0u8; extent_bytes(&layout, bucket_bytes)];
-        let mut store = Self {
-            file,
-            tree_path,
-            dir: dir.to_path_buf(),
-            label,
-            layout,
-            initialized,
-            bucket_bytes,
-            num_buckets,
-            extent_buf,
-            remove_on_drop: false,
-            wal: None,
-            wal_seq,
-            records_since_checkpoint: 0,
-            checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
-            fail_tree_writes_after: None,
-        };
-        if summary.is_some() {
-            // Fold whatever the log contributed into a fresh checkpoint so
-            // the recovered state stands on its own...
-            store.checkpoint()?;
-            if !durability.is_logged() {
-                // ...and drop the log when the new discipline won't keep one.
-                let _ = std::fs::remove_file(&wal_path);
-            }
-        }
-        if durability.is_logged() {
-            store.wal = Some(Wal::create(
-                &store.dir,
-                label,
-                bucket_bytes,
-                store.wal_seq,
-                durability,
-            )?);
-        }
-        Ok(store)
-    }
-
-    /// The directory holding this store's tree files.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Sequence number of the last writeback applied to this tree.
-    pub fn wal_seq(&self) -> u64 {
-        self.wal_seq
-    }
-
-    /// Whether this store keeps a write-ahead log.
-    pub fn has_wal(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// Folds the applied log into the on-disk checkpoint: flush the tree
-    /// file, rewrite `tree<label>.meta` (atomically, see
-    /// [`crate::snapshot::write_state_file`]) to cover sequence number
-    /// `wal_seq`, then truncate the log back to a bare header.  A crash
-    /// between any two of these steps is safe: before the meta write the
-    /// old checkpoint + full log still recover everything; after it the new
-    /// checkpoint covers every record the truncation is about to drop.
-    ///
-    /// Runs automatically every `checkpoint_interval` writebacks; callable
-    /// directly for an explicit fold.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Storage`] on I/O failure.
-    // lint: no-panic
-    pub fn checkpoint(&mut self) -> Result<(), OramError> {
-        self.file
-            .sync_all()
-            .map_err(|e| io_err("syncing", &self.tree_path, e))?;
-        write_tree_meta(
-            &tree_meta_path(&self.dir, self.label),
-            self.num_buckets,
-            self.bucket_bytes,
-            self.layout.subtree_levels(),
-            &self.initialized,
-            self.wal_seq,
-        )?;
-        if let Some(wal) = self.wal.as_mut() {
-            wal.truncate_to(self.wal_seq)?;
-        }
-        self.records_since_checkpoint = 0;
-        Ok(())
-    }
-    // lint: end
-
-    /// Overrides the auto-checkpoint cadence (clamped to ≥ 1).  Test
-    /// harness hook; the default is [`DEFAULT_CHECKPOINT_INTERVAL`].
-    #[doc(hidden)]
-    pub fn set_checkpoint_interval(&mut self, records: u64) {
-        self.checkpoint_interval = records.max(1);
-    }
-
-    /// Fault-injection hook (kill-point suite): permit at most `bytes`
-    /// further WAL bytes, then fail appends leaving a torn record.  No-op
-    /// without a WAL.
-    #[doc(hidden)]
-    pub fn set_fail_after_wal_bytes(&mut self, bytes: u64) {
-        if let Some(wal) = self.wal.as_mut() {
-            wal.set_crash_after_bytes(bytes);
-        }
-    }
-
-    /// Fault-injection hook (kill-point suite): permit at most `writes`
-    /// further bucket writes to the tree file, then fail.
-    #[doc(hidden)]
-    pub fn set_fail_after_tree_writes(&mut self, writes: u64) {
-        self.fail_tree_writes_after = Some(writes);
-    }
-
-    #[inline]
-    fn offset(&self, index: u64) -> u64 {
-        self.layout.linear_bucket_address(index)
-    }
-}
-
-impl Drop for FileStore {
-    fn drop(&mut self) {
-        if self.remove_on_drop {
-            // Best-effort cleanup of a throwaway temp store.
-            let _ = std::fs::remove_file(&self.tree_path);
-            let _ = std::fs::remove_file(tree_meta_path(&self.dir, self.label));
-            let _ = std::fs::remove_file(wal::wal_file_path(&self.dir, self.label));
-            let _ = std::fs::remove_dir(&self.dir);
-        }
-    }
-}
-
-impl TreeStore for FileStore {
-    fn num_buckets(&self) -> usize {
-        self.num_buckets
-    }
-
-    fn bucket_bytes(&self) -> usize {
-        self.bucket_bytes
-    }
-
-    #[inline]
-    fn is_initialized(&self, index: u64) -> bool {
-        bit_get(&self.initialized, index)
-    }
-
-    fn read_bucket_into(&self, index: u64, out: &mut [u8]) -> Result<(), OramError> {
-        debug_assert_eq!(out.len(), self.bucket_bytes);
-        self.file
-            .read_exact_at(out, self.offset(index))
-            .map_err(|e| io_err_bucket("read_bucket", index, &self.tree_path, e))
-    }
-
-    fn write_bucket(&mut self, index: u64, image: &[u8]) -> Result<(), OramError> {
-        assert_eq!(
-            image.len(),
-            self.bucket_bytes,
-            "bucket image must be exactly bucket_bytes long"
-        );
-        if let Some(budget) = self.fail_tree_writes_after.as_mut() {
-            if *budget == 0 {
-                return Err(OramError::Storage {
-                    detail: format!(
-                        "injected crash before tree write of bucket {index} @ {}",
-                        self.tree_path.display()
-                    ),
-                });
-            }
-            *budget -= 1;
-        }
-        self.file
-            .write_all_at(image, self.offset(index))
-            .map_err(|e| io_err_bucket("write_bucket", index, &self.tree_path, e))?;
-        bit_set(&mut self.initialized, index);
-        Ok(())
-    }
-
-    fn write_path(&mut self, indices: &[u64], buf: &[u8]) -> Result<(), OramError> {
-        // WAL-before-tree: the sealed path image is appended (and, per the
-        // fsync discipline, made durable) before the first in-place tree
-        // write starts.  A kill anywhere in here leaves either a torn log
-        // record (the writeback never happened) or a complete one (replay
-        // finishes the tree writes on open).
-        if let Some(wal) = self.wal.as_mut() {
-            self.wal_seq = wal.append(indices, buf)?;
-        }
-        let bb = self.bucket_bytes;
-        for (level, &index) in indices.iter().enumerate() {
-            self.write_bucket(index, &buf[level * bb..(level + 1) * bb])?;
-        }
-        if self.wal.is_some() {
-            self.records_since_checkpoint += 1;
-            if self.records_since_checkpoint >= self.checkpoint_interval {
-                self.checkpoint()?;
-            }
-        }
-        Ok(())
-    }
-
-    fn read_path_into(&mut self, indices: &[u64], buf: &mut [u8]) -> Result<(), OramError> {
-        // Coalesced path read: sort the initialised buckets by file offset
-        // and read each run that fits one subtree-extent window with a
-        // single positional read.  Under the subtree layout every bucket of
-        // a path lies inside its level-group's extent, so a root-to-leaf
-        // path costs at most ⌈levels/k⌉ reads.  The window may cover
-        // buckets of *other* paths; their bytes are staged and discarded,
-        // never copied out.
-        let bb = self.bucket_bytes;
-        let window = self.extent_buf.len() as u64;
-        // (file offset, level) per initialised bucket; paths are at most
-        // `MAX_LEAF_LEVEL + 1` levels, far below this stack bound.
-        let mut runs = [(0u64, 0usize); 64];
-        let mut n = 0;
-        for (level, &index) in indices.iter().enumerate() {
-            if self.is_initialized(index) {
-                runs[n] = (self.offset(index), level);
-                n += 1;
-            }
-        }
-        runs[..n].sort_unstable();
-        let mut i = 0;
-        while i < n {
-            let start = runs[i].0;
-            let mut j = i;
-            while j + 1 < n && runs[j + 1].0 + bb as u64 - start <= window {
-                j += 1;
-            }
-            let len = (runs[j].0 + bb as u64 - start) as usize;
-            let chunk = &mut self.extent_buf[..len];
-            self.file
-                .read_exact_at(chunk, start)
-                .map_err(|e| io_err("reading path extent from", &self.tree_path, e))?;
-            for &(offset, level) in &runs[i..=j] {
-                let rel = (offset - start) as usize;
-                buf[level * bb..(level + 1) * bb].copy_from_slice(&chunk[rel..rel + bb]);
-            }
-            i = j + 1;
-        }
-        Ok(())
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        popcount_bytes(&self.initialized, self.bucket_bytes)
-    }
-
-    fn tamper_xor(&mut self, index: u64, offset: usize, mask: u8) -> bool {
-        if index as usize >= self.num_buckets
-            || offset >= self.bucket_bytes
-            || !self.is_initialized(index)
-        {
-            return false;
-        }
-        let pos = self.offset(index) + offset as u64;
-        let mut byte = [0u8];
-        if self.file.read_exact_at(&mut byte, pos).is_err() {
-            return false;
-        }
-        byte[0] ^= mask;
-        self.file.write_all_at(&byte, pos).is_ok()
-    }
-
-    fn snapshot_bucket(&self, index: u64) -> Vec<u8> {
-        if !self.is_initialized(index) {
-            return Vec::new();
-        }
-        let mut out = vec![0u8; self.bucket_bytes];
-        self.read_bucket_into(index, &mut out)
-            .expect("snapshotting an initialised bucket");
-        out
-    }
-
-    fn replay_bucket(&mut self, index: u64, snapshot: &[u8]) {
-        assert!(
-            snapshot.is_empty() || snapshot.len() == self.bucket_bytes,
-            "snapshot must be a full bucket image"
-        );
-        if snapshot.is_empty() {
-            let zeros = vec![0u8; self.bucket_bytes];
-            self.file
-                .write_all_at(&zeros, self.offset(index))
-                .expect("zeroing a bucket on replay");
-            bit_clear(&mut self.initialized, index);
-        } else {
-            self.write_bucket(index, snapshot)
-                .expect("replaying a bucket image");
-        }
-    }
-
-    fn rollback_seed(&mut self, index: u64, delta: u64) -> bool {
-        if !self.is_initialized(index) {
-            return false;
-        }
-        let pos = self.offset(index);
-        let mut header = [0u8; 8];
-        if self.file.read_exact_at(&mut header, pos).is_err() {
-            return false;
-        }
-        let seed = u64::from_le_bytes(header);
-        self.file
-            .write_all_at(&seed.wrapping_sub(delta).to_le_bytes(), pos)
-            .is_ok()
-    }
-
-    fn persist_to(&self, dir: &Path, label: u32) -> Result<(), OramError> {
-        std::fs::create_dir_all(dir).map_err(|e| io_err("creating", dir, e))?;
-        let target = tree_file_path(dir, label);
-        let in_place = match (
-            std::fs::canonicalize(&target),
-            std::fs::canonicalize(&self.tree_path),
-        ) {
-            (Ok(a), Ok(b)) => a == b,
-            _ => false,
-        };
-        if in_place {
-            self.file
-                .sync_all()
-                .map_err(|e| io_err("syncing", &self.tree_path, e))?;
-        } else {
-            // Persisting into a different directory: copy the initialised
-            // buckets into a fresh sparse file at the same offsets.
-            let out = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&target)
-                .map_err(|e| io_err("creating", &target, e))?;
-            out.set_len(self.layout.total_bytes())
-                .map_err(|e| io_err("sizing", &target, e))?;
-            let mut buf = vec![0u8; self.bucket_bytes];
-            for index in 0..self.num_buckets as u64 {
-                if !self.is_initialized(index) {
-                    continue;
-                }
-                self.read_bucket_into(index, &mut buf)?;
-                out.write_all_at(&buf, self.offset(index))
-                    .map_err(|e| io_err_bucket("persist bucket", index, &target, e))?;
-            }
-            out.sync_all().map_err(|e| io_err("syncing", &target, e))?;
-            // The copy is complete as of wal_seq; a stale log beside the
-            // target would replay foreign buckets over it on resume.
-            let _ = std::fs::remove_file(wal::wal_file_path(dir, label));
-        }
-        // In place, the live WAL stays as is: replay is idempotent, and the
-        // meta written below covers everything applied so far anyway.
-        write_tree_meta(
-            &tree_meta_path(dir, label),
-            self.num_buckets,
-            self.bucket_bytes,
-            self.layout.subtree_levels(),
-            &self.initialized,
-            self.wal_seq,
-        )
-    }
-}
-
-// =====================================================================
-// TieredStore
-// =====================================================================
-
 /// Number of tree levels a treetop byte budget pins in RAM: the largest
 /// `K ≤ levels` with `(2^K - 1) * bucket_bytes ≤ memory_budget` (the top
 /// `K` levels occupy linear bucket indices `0 .. 2^K - 1`).  `K = 0`
@@ -1453,86 +528,246 @@ pub fn treetop_levels_for_budget(params: &OramParams, memory_budget: u64) -> u32
     k
 }
 
-/// The tiered tree store: the top `K` levels in a RAM arena, levels ≥ `K`
-/// in a [`FileStore`] spanning the *whole* tree file.
+/// The tree store: a RAM arena for levels < `K` and an optional file tier
+/// for levels ≥ `K` (see the module docs).
 ///
-/// The paper's treetop observation (§5.1) is that the top of the tree is
-/// touched on **every** access — level `ℓ` has only `2^ℓ` buckets, so a
-/// small, fixed byte budget pins the levels with all the reuse while the
-/// exponentially larger bottom levels (with almost none) stay on disk.
-/// Because a path's linear bucket indices are `2^ℓ - 1 ≤ index < 2^{ℓ+1}-1`
-/// at level `ℓ`, "level < K" is exactly "linear index < 2^K - 1": tier
-/// routing is one comparison, and a root-to-leaf path splits into a
-/// contiguous arena prefix plus a contiguous file suffix.
+/// # Invariants
 ///
-/// # Tier invariants
+/// * Bucket `i < 2^K - 1` lives in the arena at `[i * bucket_bytes,
+///   (i + 1) * bucket_bytes)`; every deeper bucket lives in the file tier.
+///   Without a file tier `K` is the tree height.
+/// * The file tier is laid out for the **whole** tree (same sparse file,
+///   subtree layout and sidecar metadata whatever `K` is), so a snapshot
+///   written under one `K` resumes under any other.  Its arena-level
+///   regions are only current at checkpoint/persist boundaries: between
+///   them the arena is authoritative and the dirty bitmap records which
+///   arena images the file lacks.
+/// * One initialised bitmap covers the whole tree; a bucket that has never
+///   been written reads as all zero bytes.
 ///
-/// * The inner [`FileStore`] is laid out for the **full** tree (same sparse
-///   file, same subtree layout, same sidecar metadata as a pure file
-///   store), so tiered snapshots stay interchangeable with both other
-///   stores.  Treetop regions of the file are only guaranteed current at
-///   checkpoint/persist boundaries.
-/// * Between checkpoints the arena is authoritative for treetop buckets;
-///   the dirty bitmap records which arena images the file does not have
-///   yet.  [`TieredStore::checkpoint`] and [`TreeStore::persist_to`] flush
-///   them before delegating to the file store.
-/// * The initialised bitmap lives in the inner file store (one bitmap for
-///   the whole tree), so metadata checkpoints cover both tiers.
-///
-/// # Why WAL exemption of the treetop is crash-safe
-///
-/// Deep writebacks go through [`FileStore::write_path`] and are logged
-/// under a logged [`Durability`]; treetop writes land only in RAM and are
-/// **not** logged — logging them would reintroduce the per-access I/O the
-/// tier exists to remove.  Crash safety is preserved because recovery can
-/// never *silently* serve a stale treetop: the controller snapshot records
-/// the WAL sequence barrier at persist time, persist/checkpoint flush the
-/// treetop before advertising that barrier, and
-/// `PathOramBackend::load_controller_state` refuses any store whose
-/// recovered sequence number differs from the barrier.  A kill between
-/// persists therefore recovers to the last completed persist/checkpoint
-/// (where the tiers were mutually consistent) or is rejected with a
-/// descriptive error — never to a tree whose deep levels have advanced past
-/// its treetop.
+/// The arena is allocated zeroed in one shot; on the platforms we target
+/// the allocator services large zeroed requests with untouched
+/// copy-on-write pages, so a mostly-empty tree costs physical memory only
+/// for the buckets actually written (the file tier is sparse for the same
+/// reason).
 #[derive(Debug)]
-pub struct TieredStore {
-    /// The spill tier, spanning the whole tree file; also owns the
-    /// initialised bitmap, the WAL and the checkpoint machinery.
-    file: FileStore,
-    /// The treetop arena: bucket `i < treetop_buckets` lives at
-    /// `[i * bucket_bytes, (i+1) * bucket_bytes)`, exactly like a
-    /// [`MemStore`] arena truncated to the top levels.
-    top: Vec<u8>,
-    /// One bit per treetop bucket: the arena image is newer than the tree
-    /// file (cleared by [`TieredStore::checkpoint`]).
-    top_dirty: Vec<u64>,
-    /// `2^K - 1`: buckets with linear index below this live in the arena.
-    treetop_buckets: u64,
+pub struct TreeStorage {
+    /// The arena: buckets `0 .. arena_buckets`, back to back.
+    arena: Vec<u8>,
+    /// One bit per arena bucket: its image is newer than the file tier's.
+    dirty: Vec<u64>,
+    /// One bit per bucket: has this bucket ever been written?
+    initialized: Vec<u64>,
+    /// `min(2^K - 1, num_buckets)`.
+    arena_buckets: u64,
     /// `K`, the number of RAM-resident levels.
-    treetop_levels: u32,
-    /// The byte budget `K` was derived from (echoed into snapshots by the
-    /// config codecs).
-    memory_budget: u64,
+    arena_levels: u32,
+    bucket_bytes: usize,
+    num_buckets: usize,
+    /// Where each bucket sits in a tree file (the live file tier's, or a
+    /// snapshot's).
+    layout: SubtreeLayout,
+    /// Levels ≥ `K`; `None` for an arena-only store.
+    file: Option<FileTier>,
+    /// Sequence number of the last logged writeback these contents cover
+    /// (0 for a store that never logged or was never loaded from a logged
+    /// snapshot).  An arena-only store never logs but keeps the counter,
+    /// so a logged snapshot can resume in RAM and the controller barrier
+    /// still lines up.
+    wal_seq: u64,
 }
 
-impl TieredStore {
-    fn from_file(params: &OramParams, file: FileStore, memory_budget: u64) -> Self {
-        let treetop_levels = treetop_levels_for_budget(params, memory_budget);
-        let treetop_buckets =
-            (((1u64 << treetop_levels) - 1) as usize).min(file.num_buckets) as u64;
-        Self {
-            top: vec![0u8; treetop_buckets as usize * file.bucket_bytes],
-            top_dirty: vec![0u64; (treetop_buckets as usize).div_ceil(64)],
-            treetop_buckets,
-            treetop_levels,
-            memory_budget,
+/// The file tier: the open tree file, its WAL and checkpoint bookkeeping.
+#[derive(Debug)]
+struct FileTier {
+    file: File,
+    tree_path: PathBuf,
+    dir: PathBuf,
+    label: u32,
+    /// Reusable staging buffer for coalesced path reads, sized to one
+    /// subtree extent (`(2^k - 1) * bucket_bytes`); allocated once so the
+    /// steady-state access path stays allocation-free.
+    extent_buf: Vec<u8>,
+    /// Set for temporary stores: the directory is removed on drop.
+    remove_on_drop: bool,
+    /// The write-ahead log; `None` under [`Durability::None`].
+    wal: Option<Wal>,
+    /// Writebacks since the last checkpoint fold.
+    records_since_checkpoint: u64,
+    /// Auto-checkpoint cadence in writebacks.
+    checkpoint_interval: u64,
+    /// Fault injection (kill-point suite): remaining bucket writes the
+    /// tree file will accept before a simulated kill.  A `Cell` so that
+    /// `persist_to`, which flushes the arena from `&self`, is covered too.
+    fail_tree_writes_after: Cell<Option<u64>>,
+}
+
+impl FileTier {
+    /// Creates (`fresh`) or reopens the tree file for `label` under `dir`,
+    /// which must span `total_bytes`.
+    fn open(
+        dir: &Path,
+        label: u32,
+        fresh: bool,
+        total_bytes: u64,
+        extent_bytes: usize,
+    ) -> Result<Self, OramError> {
+        let tree_path = tree_file_path(dir, label);
+        let file = if fresh {
+            std::fs::create_dir_all(dir).map_err(|e| io_err("creating", dir, e))?;
+            let file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(&tree_path)
+                .map_err(|e| io_err("creating", &tree_path, e))?;
+            // A sparse file: the full tree geometry is reserved in the
+            // address space, but unwritten regions occupy no disk blocks.
+            file.set_len(total_bytes)
+                .map_err(|e| io_err("sizing", &tree_path, e))?;
+            // A fresh tree owes nothing to any previous occupant of the
+            // directory: a leftover log would replay a stranger's buckets.
+            let _ = std::fs::remove_file(wal::wal_file_path(dir, label));
+            file
+        } else {
+            let file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(&tree_path)
+                .map_err(|e| io_err("opening", &tree_path, e))?;
+            let actual = file
+                .metadata()
+                .map_err(|e| io_err("inspecting", &tree_path, e))?
+                .len();
+            if actual < total_bytes {
+                return Err(OramError::Snapshot {
+                    detail: format!(
+                        "tree file {} is short: {actual} bytes, expected {total_bytes}",
+                        tree_path.display()
+                    ),
+                });
+            }
+            file
+        };
+        Ok(Self {
             file,
+            tree_path,
+            dir: dir.to_path_buf(),
+            label,
+            extent_buf: vec![0u8; extent_bytes],
+            remove_on_drop: false,
+            wal: None,
+            records_since_checkpoint: 0,
+            checkpoint_interval: DEFAULT_CHECKPOINT_INTERVAL,
+            fail_tree_writes_after: Cell::new(None),
+        })
+    }
+
+    /// The one write into the live tree file: every bucket image that
+    /// reaches it — path writebacks, WAL replay, arena flushes, adversary
+    /// edits — goes through here, so the kill-point hook sees them all.
+    fn write_at(&self, index: u64, offset: u64, image: &[u8], op: &str) -> Result<(), OramError> {
+        if let Some(budget) = self.fail_tree_writes_after.get() {
+            if budget == 0 {
+                return Err(OramError::Storage {
+                    detail: format!(
+                        "injected crash before tree write of bucket {index} @ {}",
+                        self.tree_path.display()
+                    ),
+                });
+            }
+            self.fail_tree_writes_after.set(Some(budget - 1));
+        }
+        self.file
+            .write_all_at(image, offset)
+            .map_err(|e| io_err_bucket(op, index, &self.tree_path, e))
+    }
+
+    /// Coalesced path read: `runs` holds `(file offset, level)` per bucket
+    /// to read.  Sorted by offset, each run that fits one subtree-extent
+    /// window is served by a single positional read.  Under the subtree
+    /// layout every bucket of a path lies inside its level-group's extent,
+    /// so a root-to-leaf path costs at most ⌈levels/k⌉ reads.  The window
+    /// may cover buckets of *other* paths; their bytes are staged and
+    /// discarded, never copied out.
+    // lint: ct-scope, no-alloc
+    fn read_runs(
+        &mut self,
+        runs: &mut [(u64, usize)],
+        bucket_bytes: usize,
+        buf: &mut [u8],
+    ) -> Result<(), OramError> {
+        let bb = bucket_bytes as u64;
+        let window = self.extent_buf.len() as u64;
+        runs.sort_unstable();
+        let mut i = 0;
+        while i < runs.len() {
+            let start = runs[i].0;
+            let mut j = i;
+            while j + 1 < runs.len() && runs[j + 1].0 + bb - start <= window {
+                j += 1;
+            }
+            let chunk = &mut self.extent_buf[..(runs[j].0 + bb - start) as usize];
+            self.file
+                .read_exact_at(chunk, start)
+                .map_err(|e| io_err("reading path extent from", &self.tree_path, e))?;
+            for &(offset, level) in &runs[i..=j] {
+                let rel = (offset - start) as usize;
+                buf[level * bucket_bytes..(level + 1) * bucket_bytes]
+                    .copy_from_slice(&chunk[rel..rel + bucket_bytes]);
+            }
+            i = j + 1;
+        }
+        Ok(())
+    }
+    // lint: end
+}
+
+impl Drop for FileTier {
+    fn drop(&mut self) {
+        if self.remove_on_drop {
+            // Best-effort cleanup of a throwaway temp store.
+            let _ = std::fs::remove_file(&self.tree_path);
+            let _ = std::fs::remove_file(tree_meta_path(&self.dir, self.label));
+            let _ = std::fs::remove_file(wal::wal_file_path(&self.dir, self.label));
+            let _ = std::fs::remove_dir(&self.dir);
+        }
+    }
+}
+
+impl TreeStorage {
+    fn with_tier(params: &OramParams, arena_levels: u32, file: Option<FileTier>) -> Self {
+        let num_buckets = params.num_buckets() as usize;
+        let bucket_bytes = params.bucket_bytes();
+        let arena_buckets = ((1u64 << arena_levels) - 1).min(num_buckets as u64);
+        Self {
+            arena: vec![0u8; arena_buckets as usize * bucket_bytes],
+            dirty: vec![0u64; (arena_buckets as usize).div_ceil(64)],
+            initialized: vec![0u64; num_buckets.div_ceil(64)],
+            arena_buckets,
+            arena_levels,
+            bucket_bytes,
+            num_buckets,
+            layout: file_layout(params),
+            file,
+            wal_seq: 0,
         }
     }
 
-    /// Creates a **fresh** tiered tree under `dir` (truncating any existing
-    /// `tree<label>` files there); see [`FileStore::create`] for the
-    /// durability semantics of the spill tier.
+    /// An arena-only store for the tree described by `params` (the
+    /// in-memory store).  All buckets start uninitialised (and all-zero).
+    pub fn new(params: &OramParams) -> Self {
+        Self::with_tier(params, params.levels(), None)
+    }
+
+    /// Creates a **fresh** store with a file tier under `dir` (truncating
+    /// any existing `tree<label>` files there), keeping the top levels
+    /// that fit `memory_budget` in the arena ([`treetop_levels_for_budget`];
+    /// a budget of 0 is the pure file store).  Under a logged
+    /// [`Durability`] it also writes an initial (empty) checkpoint and
+    /// opens a fresh WAL, so a kill before the first explicit `persist`
+    /// already recovers instead of leaving an unreadable directory.
     ///
     /// # Errors
     ///
@@ -1544,11 +779,16 @@ impl TieredStore {
         durability: Durability,
         memory_budget: u64,
     ) -> Result<Self, OramError> {
-        let file = FileStore::create(params, dir, label, durability)?;
-        Ok(Self::from_file(params, file, memory_budget))
+        let layout = file_layout(params);
+        let extent = ((1usize << layout.subtree_levels()) - 1) * params.bucket_bytes();
+        let tier = FileTier::open(dir, label, true, layout.total_bytes(), extent)?;
+        let arena_levels = treetop_levels_for_budget(params, memory_budget);
+        let mut store = Self::with_tier(params, arena_levels, Some(tier));
+        store.start_log(durability, durability.is_logged())?;
+        Ok(store)
     }
 
-    /// Creates a fresh tiered tree in a unique temporary directory that is
+    /// [`TreeStorage::create`] in a unique temporary directory that is
     /// removed when the store is dropped.
     ///
     /// # Errors
@@ -1560,19 +800,37 @@ impl TieredStore {
         durability: Durability,
         memory_budget: u64,
     ) -> Result<Self, OramError> {
-        let file = FileStore::create_temp(params, label, durability)?;
-        Ok(Self::from_file(params, file, memory_budget))
+        let unique = format!(
+            "oram-tree-{}-{}",
+            std::process::id(),
+            TEMP_STORE_COUNTER.fetch_add(1, Ordering::Relaxed)
+        );
+        let dir = std::env::temp_dir().join(unique);
+        let mut store = Self::create(params, &dir, label, durability, memory_budget)?;
+        if let Some(tier) = store.file.as_mut() {
+            tier.remove_on_drop = true;
+        }
+        Ok(store)
     }
 
-    /// Reopens a persisted tree in place as a tiered store: the file tier
-    /// recovers exactly as [`FileStore::open`] (WAL tail replay included),
-    /// then the initialised treetop buckets are loaded from the tree file
-    /// into the arena.  Tiered, file-backed and in-memory snapshots share
-    /// one on-disk format, so any of them can be reopened tiered.
+    /// Reopens persisted tree files in place with a file tier: the
+    /// snapshot directory becomes (or stays) the live storage directory,
+    /// and the top levels that fit `memory_budget` load into the arena.
+    ///
+    /// Recovery happens here: a checksum-valid `tree<label>.wal` tail is
+    /// replayed (stopping cleanly at the first torn or invalid record — the
+    /// expected shape of a crash), the recovered state is folded into a
+    /// fresh checkpoint, and — under a logged [`Durability`] — a new log
+    /// generation is opened.  Replay is idempotent (records are full
+    /// bucket post-images), so it does not matter how much of the log the
+    /// tree file had already absorbed before the kill.  Every
+    /// configuration writes one on-disk format, so any snapshot reopens
+    /// under any budget.
     ///
     /// # Errors
     ///
-    /// As for [`FileStore::open`].
+    /// [`OramError::Storage`] on I/O failure, [`OramError::Snapshot`] /
+    /// [`OramError::IntegrityViolation`] for missing or corrupt metadata.
     pub fn open(
         params: &OramParams,
         dir: &Path,
@@ -1580,399 +838,148 @@ impl TieredStore {
         durability: Durability,
         memory_budget: u64,
     ) -> Result<Self, OramError> {
-        let file = FileStore::open(params, dir, label, durability)?;
-        let mut store = Self::from_file(params, file, memory_budget);
-        let bb = store.file.bucket_bytes;
-        for index in 0..store.treetop_buckets {
-            if !bit_get(&store.file.initialized, index) {
-                continue;
+        Self::open_in(params, dir, label, Some((durability, memory_budget)))
+    }
+
+    /// Loads persisted tree files into an arena-only store (the WAL tail,
+    /// if any, replayed as in [`TreeStorage::open`]); the files are left
+    /// untouched.
+    ///
+    /// # Errors
+    ///
+    /// As for [`TreeStorage::open`].
+    pub fn load(params: &OramParams, dir: &Path, label: u32) -> Result<Self, OramError> {
+        Self::open_in(params, dir, label, None)
+    }
+
+    /// [`TreeStorage::open`] (`tier` = durability and budget) or
+    /// [`TreeStorage::load`] (`tier = None`).
+    fn open_in(
+        params: &OramParams,
+        dir: &Path,
+        label: u32,
+        tier: Option<(Durability, u64)>,
+    ) -> Result<Self, OramError> {
+        let layout = file_layout(params);
+        let (initialized, meta_seq) = read_tree_meta(
+            &tree_meta_path(dir, label),
+            params.num_buckets() as usize,
+            params.bucket_bytes(),
+            layout.subtree_levels(),
+        )?;
+        let tree_path = tree_file_path(dir, label);
+        let src = File::open(&tree_path).map_err(|e| io_err("opening", &tree_path, e))?;
+        let mut store = match tier {
+            Some((_, memory_budget)) => {
+                let extent = ((1usize << layout.subtree_levels()) - 1) * params.bucket_bytes();
+                let file = FileTier::open(dir, label, false, layout.total_bytes(), extent)?;
+                let arena_levels = treetop_levels_for_budget(params, memory_budget);
+                Self::with_tier(params, arena_levels, Some(file))
             }
-            let range = index as usize * bb..(index as usize + 1) * bb;
-            store
-                .file
-                .file
-                .read_exact_at(&mut store.top[range], store.file.offset(index))
-                .map_err(|e| {
-                    io_err_bucket("load treetop bucket", index, &store.file.tree_path, e)
-                })?;
+            None => Self::with_tier(params, params.levels(), None),
+        };
+        store.initialized = initialized;
+        store.wal_seq = meta_seq;
+        for index in 0..store.arena_buckets {
+            if bit_get(&store.initialized, index) {
+                let range = store.arena_range(index);
+                src.read_exact_at(&mut store.arena[range], layout.linear_bucket_address(index))
+                    .map_err(|e| io_err_bucket("load bucket", index, &tree_path, e))?;
+            }
+        }
+        // Replay the checksum-valid WAL tail (if any) over both tiers.
+        let bb = store.bucket_bytes;
+        let num_buckets = store.num_buckets as u64;
+        let wal_path = wal::wal_file_path(dir, label);
+        let summary = wal::replay(&wal_path, bb, |seq, indices, images| {
+            for (i, &index) in indices.iter().enumerate() {
+                if index >= num_buckets {
+                    return Err(OramError::Storage {
+                        detail: format!(
+                            "WAL record {seq} names bucket {index} outside the \
+                             {num_buckets}-bucket tree @ {}",
+                            wal_path.display()
+                        ),
+                    });
+                }
+                store.put(index, &images[i * bb..(i + 1) * bb], "replay")?;
+                bit_set(&mut store.initialized, index);
+            }
+            Ok(())
+        })?;
+        if let Some(s) = &summary {
+            if s.header_valid {
+                store.wal_seq = store.wal_seq.max(s.last_seq);
+            }
+        }
+        if let Some((durability, _)) = tier {
+            store.start_log(durability, summary.is_some())?;
         }
         Ok(store)
     }
 
-    /// The directory holding this store's tree files.
-    pub fn dir(&self) -> &Path {
-        self.file.dir()
-    }
-
-    /// Sequence number of the last *logged* writeback applied to this tree
-    /// (treetop writes are WAL-exempt; see the type-level docs).
-    pub fn wal_seq(&self) -> u64 {
-        self.file.wal_seq()
-    }
-
-    /// Whether the spill tier keeps a write-ahead log.
-    pub fn has_wal(&self) -> bool {
-        self.file.has_wal()
-    }
-
-    /// Number of RAM-resident levels (`K`).
-    pub fn treetop_levels(&self) -> u32 {
-        self.treetop_levels
-    }
-
-    /// Number of RAM-resident buckets (`2^K - 1`).
-    pub fn treetop_buckets(&self) -> u64 {
-        self.treetop_buckets
-    }
-
-    /// The byte budget the treetop split was derived from.
-    pub fn memory_budget(&self) -> u64 {
-        self.memory_budget
-    }
-
-    #[inline]
-    fn is_treetop(&self, index: u64) -> bool {
-        index < self.treetop_buckets
-    }
-
-    // lint: ct-scope, no-alloc
-    #[inline]
-    fn top_range(&self, index: u64) -> std::ops::Range<usize> {
-        let start = index as usize * self.file.bucket_bytes;
-        start..start + self.file.bucket_bytes
-    }
-    // lint: end
-
-    /// Writes every dirty (or, for `clear_dirty = false` callers on the
-    /// `&self` persist path, every since-flush-dirty) treetop image into
-    /// the tree file without touching the dirty bitmap.  Positional writes
-    /// only, so it works from `&self`; idempotent, so leaving bits set and
-    /// re-flushing later is safe.
-    fn write_dirty_treetop_to_file(&self) -> Result<(), OramError> {
-        let bb = self.file.bucket_bytes;
-        for index in 0..self.treetop_buckets {
-            if !bit_get(&self.top_dirty, index) {
-                continue;
-            }
-            let image = &self.top[index as usize * bb..(index as usize + 1) * bb];
-            self.file
-                .file
-                .write_all_at(image, self.file.offset(index))
-                .map_err(|e| {
-                    io_err_bucket("flush treetop bucket", index, &self.file.tree_path, e)
-                })?;
+    /// Folds the current state into a checkpoint when `fold`, then opens a
+    /// fresh log generation under a logged `durability` (or, when folding
+    /// without one, drops the old log).
+    fn start_log(&mut self, durability: Durability, fold: bool) -> Result<(), OramError> {
+        if fold {
+            self.checkpoint()?;
+        }
+        let (bucket_bytes, wal_seq) = (self.bucket_bytes, self.wal_seq);
+        let Some(tier) = self.file.as_mut() else {
+            return Ok(());
+        };
+        if durability.is_logged() {
+            tier.wal = Some(Wal::create(
+                &tier.dir,
+                tier.label,
+                bucket_bytes,
+                wal_seq,
+                durability,
+            )?);
+        } else if fold {
+            let _ = std::fs::remove_file(wal::wal_file_path(&tier.dir, tier.label));
         }
         Ok(())
     }
 
-    /// Folds the treetop into the spill tier and checkpoints: flush every
-    /// dirty arena image into the tree file, then run the file store's
-    /// checkpoint (sync, metadata rewrite, WAL truncation — see
-    /// [`FileStore::checkpoint`]).  After this returns, the on-disk state
-    /// alone reconstructs both tiers.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Storage`] on I/O failure.
-    pub fn checkpoint(&mut self) -> Result<(), OramError> {
-        self.write_dirty_treetop_to_file()?;
-        self.top_dirty.fill(0);
-        self.file.checkpoint()
-    }
-
-    /// See [`FileStore::set_checkpoint_interval`].
-    #[doc(hidden)]
-    pub fn set_checkpoint_interval(&mut self, records: u64) {
-        self.file.set_checkpoint_interval(records);
-    }
-
-    /// See [`FileStore::set_fail_after_wal_bytes`].
-    #[doc(hidden)]
-    pub fn set_fail_after_wal_bytes(&mut self, bytes: u64) {
-        self.file.set_fail_after_wal_bytes(bytes);
-    }
-
-    /// See [`FileStore::set_fail_after_tree_writes`].
-    #[doc(hidden)]
-    pub fn set_fail_after_tree_writes(&mut self, writes: u64) {
-        self.file.set_fail_after_tree_writes(writes);
-    }
-}
-
-impl TreeStore for TieredStore {
-    fn num_buckets(&self) -> usize {
-        self.file.num_buckets
-    }
-
-    fn bucket_bytes(&self) -> usize {
-        self.file.bucket_bytes
-    }
-
-    #[inline]
-    fn is_initialized(&self, index: u64) -> bool {
-        bit_get(&self.file.initialized, index)
-    }
-
-    fn read_bucket_into(&self, index: u64, out: &mut [u8]) -> Result<(), OramError> {
-        if self.is_treetop(index) {
-            out.copy_from_slice(&self.top[self.top_range(index)]);
-            Ok(())
-        } else {
-            self.file.read_bucket_into(index, out)
-        }
-    }
-
-    fn write_bucket(&mut self, index: u64, image: &[u8]) -> Result<(), OramError> {
-        if self.is_treetop(index) {
-            assert_eq!(
-                image.len(),
-                self.file.bucket_bytes,
-                "bucket image must be exactly bucket_bytes long"
-            );
-            let range = self.top_range(index);
-            self.top[range].copy_from_slice(image);
-            bit_set(&mut self.top_dirty, index);
-            bit_set(&mut self.file.initialized, index);
-            Ok(())
-        } else {
-            self.file.write_bucket(index, image)
-        }
-    }
-
-    // lint: ct-scope, no-alloc
-    fn read_path_into(&mut self, indices: &[u64], buf: &mut [u8]) -> Result<(), OramError> {
-        // A root-to-leaf path is a contiguous arena prefix (levels < K)
-        // followed by a contiguous file suffix (levels ≥ K): serve the
-        // prefix with memcpys, hand the suffix to the file store's
-        // extent-coalescing read in one call.  Arbitrary (non-path) index
-        // sets — the general trait contract — fall back to routed
-        // per-bucket reads.
-        let bb = self.file.bucket_bytes;
-        let split = indices
-            .iter()
-            .position(|&i| !self.is_treetop(i))
-            .unwrap_or(indices.len());
-        for (level, &index) in indices[..split].iter().enumerate() {
-            if self.is_initialized(index) {
-                let range = self.top_range(index);
-                buf[level * bb..(level + 1) * bb].copy_from_slice(&self.top[range]);
-            }
-        }
-        let deep = &indices[split..];
-        if deep.iter().all(|&i| !self.is_treetop(i)) {
-            self.file.read_path_into(deep, &mut buf[split * bb..])
-        } else {
-            for (off, &index) in deep.iter().enumerate() {
-                let level = split + off;
-                if self.is_initialized(index) {
-                    self.read_bucket_into(index, &mut buf[level * bb..(level + 1) * bb])?;
-                }
-            }
-            Ok(())
-        }
-    }
-
-    fn write_path(&mut self, indices: &[u64], buf: &[u8]) -> Result<(), OramError> {
-        // Mirror of `read_path_into`: arena prefix, then the deep suffix as
-        // one file-store path write — which is where the WAL record is cut,
-        // so the log carries only the spill tier's buckets (the treetop's
-        // WAL exemption; see the type-level docs).
-        let bb = self.file.bucket_bytes;
-        let split = indices
-            .iter()
-            .position(|&i| !self.is_treetop(i))
-            .unwrap_or(indices.len());
-        for (level, &index) in indices[..split].iter().enumerate() {
-            let range = self.top_range(index);
-            self.top[range].copy_from_slice(&buf[level * bb..(level + 1) * bb]);
-            bit_set(&mut self.top_dirty, index);
-            bit_set(&mut self.file.initialized, index);
-        }
-        let deep = &indices[split..];
-        if deep.is_empty() {
-            Ok(())
-        } else if deep.iter().all(|&i| !self.is_treetop(i)) {
-            self.file.write_path(deep, &buf[split * bb..])
-        } else {
-            for (off, &index) in deep.iter().enumerate() {
-                let level = split + off;
-                self.write_bucket(index, &buf[level * bb..(level + 1) * bb])?;
-            }
-            Ok(())
-        }
-    }
-    // lint: end
-
-    fn resident_bytes(&self) -> u64 {
-        popcount_bytes(&self.file.initialized, self.file.bucket_bytes)
-    }
-
-    fn tamper_xor(&mut self, index: u64, offset: usize, mask: u8) -> bool {
-        if self.is_treetop(index) {
-            if offset >= self.file.bucket_bytes || !self.is_initialized(index) {
-                return false;
-            }
-            let start = self.top_range(index).start;
-            self.top[start + offset] ^= mask;
-            bit_set(&mut self.top_dirty, index);
-            true
-        } else {
-            self.file.tamper_xor(index, offset, mask)
-        }
-    }
-
-    fn snapshot_bucket(&self, index: u64) -> Vec<u8> {
-        if self.is_treetop(index) {
-            if self.is_initialized(index) {
-                self.top[self.top_range(index)].to_vec()
-            } else {
-                Vec::new()
-            }
-        } else {
-            self.file.snapshot_bucket(index)
-        }
-    }
-
-    fn replay_bucket(&mut self, index: u64, snapshot: &[u8]) {
-        if self.is_treetop(index) {
-            assert!(
-                snapshot.is_empty() || snapshot.len() == self.file.bucket_bytes,
-                "snapshot must be a full bucket image"
-            );
-            let range = self.top_range(index);
-            if snapshot.is_empty() {
-                self.top[range].fill(0);
-                bit_clear(&mut self.file.initialized, index);
-                // The file may still hold stale bytes for this bucket, but
-                // the cleared initialised bit masks them everywhere (reads,
-                // loads, persisted bitmaps), matching MemStore semantics.
-                bit_set(&mut self.top_dirty, index);
-            } else {
-                self.top[range].copy_from_slice(snapshot);
-                bit_set(&mut self.top_dirty, index);
-                bit_set(&mut self.file.initialized, index);
-            }
-        } else {
-            self.file.replay_bucket(index, snapshot);
-        }
-    }
-
-    fn rollback_seed(&mut self, index: u64, delta: u64) -> bool {
-        if self.is_treetop(index) {
-            if !self.is_initialized(index) {
-                return false;
-            }
-            let start = self.top_range(index).start;
-            let header = &mut self.top[start..start + 8];
-            let seed = u64::from_le_bytes(header.try_into().expect("8-byte header"));
-            header.copy_from_slice(&seed.wrapping_sub(delta).to_le_bytes());
-            bit_set(&mut self.top_dirty, index);
-            true
-        } else {
-            self.file.rollback_seed(index, delta)
-        }
-    }
-
-    fn persist_to(&self, dir: &Path, label: u32) -> Result<(), OramError> {
-        // Flush the treetop into the live tree file first (positional
-        // writes work from `&self`; the dirty bitmap stays set, which is
-        // harmless — re-flushing an image already in the file is
-        // idempotent).  After that the inner file store holds the complete
-        // tree and its persist logic covers both the in-place and the
-        // copy-to-other-directory cases.
-        self.write_dirty_treetop_to_file()?;
-        self.file.persist_to(dir, label)
-    }
-}
-
-// =====================================================================
-// TreeStorage: the enum the backend holds.
-// =====================================================================
-
-/// Untrusted tree storage behind the [`TreeStore`] seam: the in-memory
-/// arena, the file-backed store, or the tiered treetop split, dispatched
-/// statically.
-///
-/// All trait methods are also available as inherent methods (delegating),
-/// so existing call sites — in particular the adversary API used by tests
-/// and examples — keep working without importing the trait.
-// One instance exists per ORAM tree, so the size gap between the slim
-// arena handle and the WAL-carrying file store is irrelevant; boxing the
-// file variant would buy nothing but an extra indirection.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum TreeStorage {
-    /// In-memory arena.
-    Mem(MemStore),
-    /// File-backed store.
-    File(FileStore),
-    /// Tiered treetop-in-RAM store.
-    Tiered(TieredStore),
-}
-
-macro_rules! delegate {
-    ($self:ident, $store:ident => $body:expr) => {
-        match $self {
-            TreeStorage::Mem($store) => $body,
-            TreeStorage::File($store) => $body,
-            TreeStorage::Tiered($store) => $body,
-        }
-    };
-}
-
-impl TreeStorage {
-    /// Allocates in-memory storage for the tree described by `params`
-    /// (back-compatible constructor; use [`TreeStorage::create`] to choose
-    /// the store kind).
-    pub fn new(params: &OramParams) -> Self {
-        TreeStorage::Mem(MemStore::new(params))
-    }
-
     /// Creates a fresh store of the given kind.  `label` distinguishes
     /// several trees sharing one directory (the recursive frontend's
-    /// per-level ORAMs).  `durability` selects the WAL discipline for
-    /// file-backed kinds; memory stores have nothing to log and ignore it.
+    /// per-level ORAMs).  `durability` selects the WAL discipline of the
+    /// file tier; arena-only stores have nothing to log and ignore it.
     ///
     /// # Errors
     ///
-    /// [`OramError::Storage`] on I/O failure creating file-backed stores.
-    pub fn create(
+    /// [`OramError::Storage`] on I/O failure creating the file tier.
+    pub fn for_kind(
         params: &OramParams,
         kind: &StorageKind,
         label: u32,
         durability: Durability,
     ) -> Result<Self, OramError> {
-        Ok(match kind {
-            StorageKind::Mem => TreeStorage::Mem(MemStore::new(params)),
-            StorageKind::File { dir } => {
-                TreeStorage::File(FileStore::create(params, dir, label, durability)?)
+        match kind {
+            StorageKind::Mem => Ok(Self::new(params)),
+            StorageKind::File { dir } => Self::create(params, dir, label, durability, 0),
+            StorageKind::TempFile => Self::create_temp(params, label, durability, 0),
+            StorageKind::Tiered { dir, memory_budget } => {
+                Self::create(params, dir, label, durability, *memory_budget)
             }
-            StorageKind::TempFile => {
-                TreeStorage::File(FileStore::create_temp(params, label, durability)?)
+            StorageKind::TempTiered { memory_budget } => {
+                Self::create_temp(params, label, durability, *memory_budget)
             }
-            StorageKind::Tiered { dir, memory_budget } => TreeStorage::Tiered(TieredStore::create(
-                params,
-                dir,
-                label,
-                durability,
-                *memory_budget,
-            )?),
-            StorageKind::TempTiered { memory_budget } => TreeStorage::Tiered(
-                TieredStore::create_temp(params, label, durability, *memory_budget)?,
-            ),
-        })
+        }
     }
 
-    /// Opens a store over tree files persisted under `dir`: memory stores
-    /// load the buckets into a fresh arena, file stores reopen the files in
-    /// place (the snapshot directory becomes the live directory).  Either
-    /// way, a checksum-valid WAL tail left behind by a crash is replayed
-    /// first (see [`FileStore::open`]).
+    /// Opens a store of the given kind over tree files persisted under
+    /// `dir`: [`StorageKind::Mem`] loads them into an arena-only store,
+    /// the file-backed kinds reopen them in place (see
+    /// [`TreeStorage::open`]).
     ///
     /// # Errors
     ///
     /// [`OramError::Storage`] on I/O failure, [`OramError::Snapshot`] /
-    /// [`OramError::IntegrityViolation`] for missing or corrupt metadata.
+    /// [`OramError::IntegrityViolation`] for missing or corrupt metadata
+    /// or a temporary kind.
     pub fn open_snapshot(
         params: &OramParams,
         kind: &StorageKind,
@@ -1980,208 +987,490 @@ impl TreeStorage {
         label: u32,
         durability: Durability,
     ) -> Result<Self, OramError> {
-        Ok(match kind {
-            StorageKind::Mem => TreeStorage::Mem(MemStore::load(params, dir, label)?),
-            StorageKind::File { dir: file_dir } => {
-                TreeStorage::File(FileStore::open(params, file_dir, label, durability)?)
+        match kind {
+            StorageKind::Mem => Self::load(params, dir, label),
+            StorageKind::File { dir } => Self::open(params, dir, label, durability, 0),
+            StorageKind::Tiered { dir, memory_budget } => {
+                Self::open(params, dir, label, durability, *memory_budget)
             }
-            StorageKind::Tiered {
-                dir: file_dir,
-                memory_budget,
-            } => TreeStorage::Tiered(TieredStore::open(
-                params,
-                file_dir,
-                label,
-                durability,
-                *memory_budget,
-            )?),
-            StorageKind::TempFile | StorageKind::TempTiered { .. } => {
-                return Err(OramError::Snapshot {
-                    detail: "cannot resume a snapshot into a temporary store; \
-                             use StorageKind::File, StorageKind::Tiered or \
-                             StorageKind::Mem"
-                        .into(),
-                })
-            }
-        })
-    }
-
-    /// The memory store, if that is what this is — the backend's zero-copy
-    /// fast path keys off this.
-    #[inline]
-    pub fn as_mem(&self) -> Option<&MemStore> {
-        match self {
-            TreeStorage::Mem(m) => Some(m),
-            TreeStorage::File(_) | TreeStorage::Tiered(_) => None,
+            StorageKind::TempFile | StorageKind::TempTiered { .. } => Err(OramError::Snapshot {
+                detail: "cannot resume a snapshot into a temporary store; \
+                         use StorageKind::File, StorageKind::Tiered or \
+                         StorageKind::Mem"
+                    .into(),
+            }),
         }
     }
-
-    /// Mutable variant of [`TreeStorage::as_mem`].
-    #[inline]
-    pub fn as_mem_mut(&mut self) -> Option<&mut MemStore> {
-        match self {
-            TreeStorage::Mem(m) => Some(m),
-            TreeStorage::File(_) | TreeStorage::Tiered(_) => None,
-        }
-    }
-
-    /// The tiered store, if that is what this is (diagnostics: treetop
-    /// geometry introspection for tests and benchmarks).
-    #[inline]
-    pub fn as_tiered(&self) -> Option<&TieredStore> {
-        match self {
-            TreeStorage::Tiered(t) => Some(t),
-            _ => None,
-        }
-    }
-
-    /// Whether the tree lives (at least partly) in files.
-    pub fn is_file_backed(&self) -> bool {
-        matches!(self, TreeStorage::File(_) | TreeStorage::Tiered(_))
-    }
-
-    // Inherent delegations so call sites don't need the trait in scope.
 
     /// Number of buckets.
     pub fn num_buckets(&self) -> usize {
-        delegate!(self, s => TreeStore::num_buckets(s))
+        self.num_buckets
     }
 
     /// Serialised bucket size in bytes.
     pub fn bucket_bytes(&self) -> usize {
-        delegate!(self, s => TreeStore::bucket_bytes(s))
+        self.bucket_bytes
     }
 
+    /// Number of RAM-resident levels (`K`).
+    pub fn treetop_levels(&self) -> u32 {
+        self.arena_levels
+    }
+
+    /// Number of RAM-resident buckets (`min(2^K - 1, num_buckets)`).
+    pub fn treetop_buckets(&self) -> u64 {
+        self.arena_buckets
+    }
+
+    /// Whether the store has a file tier.
+    pub fn is_file_backed(&self) -> bool {
+        self.file.is_some()
+    }
+
+    /// The directory holding the file tier's tree files.
+    pub fn dir(&self) -> Option<&Path> {
+        self.file.as_ref().map(|tier| tier.dir.as_path())
+    }
+
+    /// Whether the file tier keeps a write-ahead log.
+    pub fn has_wal(&self) -> bool {
+        self.file.as_ref().is_some_and(|tier| tier.wal.is_some())
+    }
+
+    /// Sequence number of the last logged writeback these contents cover.
+    /// The controller barrier recorded in snapshots compares against this
+    /// on resume.
+    pub fn wal_seq(&self) -> u64 {
+        self.wal_seq
+    }
+
+    /// Total bytes currently resident (diagnostics): initialised buckets
+    /// times the bucket size.
+    pub fn resident_bytes(&self) -> u64 {
+        let buckets: u64 = self
+            .initialized
+            .iter()
+            .map(|w| u64::from(w.count_ones()))
+            .sum();
+        buckets * self.bucket_bytes as u64
+    }
+
+    // lint: ct-scope, no-alloc
     /// Whether a bucket has ever been written.
     #[inline]
     pub fn is_initialized(&self, index: u64) -> bool {
-        delegate!(self, s => s.is_initialized(index))
+        bit_get(&self.initialized, index)
     }
 
-    /// See [`TreeStore::read_bucket_into`].
+    #[inline]
+    fn arena_range(&self, index: u64) -> std::ops::Range<usize> {
+        let start = index as usize * self.bucket_bytes;
+        start..start + self.bucket_bytes
+    }
+
+    /// The raw image of an arena bucket (`index` < [`TreeStorage::treetop_buckets`]):
+    /// a `bucket_bytes`-long view into the arena.
+    #[inline]
+    pub(crate) fn arena_bucket(&self, index: u64) -> &[u8] {
+        &self.arena[self.arena_range(index)]
+    }
+
+    /// Mutable view of an arena bucket's slot, marking the bucket
+    /// initialised (and newer than the file tier).  This is the zero-copy
+    /// write path: the backend serialises the eviction output directly
+    /// into the slot.
+    #[inline]
+    pub(crate) fn arena_slot_mut(&mut self, index: u64) -> &mut [u8] {
+        bit_set(&mut self.initialized, index);
+        bit_set(&mut self.dirty, index);
+        let range = self.arena_range(index);
+        &mut self.arena[range]
+    }
+
+    /// Byte offset of an arena bucket within [`TreeStorage::arena_mut`].
+    #[inline]
+    pub(crate) fn arena_offset(&self, index: u64) -> usize {
+        index as usize * self.bucket_bytes
+    }
+
+    /// The whole arena, mutable: the batched-cipher hook.  The backend
+    /// serialises a path's arena buckets into their slots via
+    /// [`TreeStorage::arena_slot_mut`], then seals all of them in one
+    /// keystream pass over this slice.  Marks nothing initialised.
+    #[inline]
+    pub(crate) fn arena_mut(&mut self) -> &mut [u8] {
+        &mut self.arena
+    }
+
+    /// Batched span read: copies every *initialised* bucket of `indices`
+    /// into `buf` at stride `level * bucket_bytes`; slots of uninitialised
+    /// buckets are left untouched.  Arena buckets are memcpys; file-tier
+    /// buckets are coalesced into subtree extents (one positional read per
+    /// extent).  The caller decrypts the whole buffer in one batched cipher
+    /// pass afterwards.
     ///
     /// # Errors
     ///
-    /// As for [`TreeStore::read_bucket_into`].
-    pub fn read_bucket_into(&self, index: u64, out: &mut [u8]) -> Result<(), OramError> {
-        delegate!(self, s => s.read_bucket_into(index, out))
-    }
-
-    /// See [`TreeStore::write_bucket`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`TreeStore::write_bucket`].
-    pub fn write_bucket(&mut self, index: u64, image: &[u8]) -> Result<(), OramError> {
-        delegate!(self, s => s.write_bucket(index, image))
-    }
-
-    /// See [`TreeStore::read_path_into`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`TreeStore::read_path_into`].
+    /// [`OramError::Storage`] on I/O failure.
     pub fn read_path_into(&mut self, indices: &[u64], buf: &mut [u8]) -> Result<(), OramError> {
-        delegate!(self, s => s.read_path_into(indices, buf))
+        let bb = self.bucket_bytes;
+        // (file offset, level) per initialised file-tier bucket; paths are
+        // at most `MAX_LEAF_LEVEL + 1` levels, far below this stack bound.
+        let mut runs = [(0u64, 0usize); wal::MAX_RECORD_BUCKETS];
+        let mut n = 0;
+        for (level, &index) in indices.iter().enumerate() {
+            if !self.is_initialized(index) {
+                continue;
+            }
+            if index < self.arena_buckets {
+                let range = self.arena_range(index);
+                buf[level * bb..(level + 1) * bb].copy_from_slice(&self.arena[range]);
+            } else {
+                runs[n] = (self.layout.linear_bucket_address(index), level);
+                n += 1;
+            }
+        }
+        match self.file.as_mut() {
+            Some(tier) => tier.read_runs(&mut runs[..n], bb, buf),
+            None => Ok(()),
+        }
     }
 
-    /// See [`TreeStore::write_path`].
+    /// Batched span write: writes every bucket of `indices` from `buf` at
+    /// stride `level * bucket_bytes`, marking all of them initialised — the
+    /// write half of the pipeline.  `indices` must list arena buckets
+    /// before file-tier buckets, as a root-to-leaf path does.
+    ///
+    /// The file-tier suffix is WAL-logged as one record before the tree
+    /// file is touched, then written one positional write per bucket: a
+    /// path's buckets are interleaved with *other* paths' buckets inside
+    /// each subtree extent, so an extent-sized write would clobber
+    /// neighbours (reads have no such hazard, which is why only they
+    /// coalesce).  A kill anywhere in here leaves either a torn log record
+    /// (the writeback never happened) or a complete one (replay finishes
+    /// the tree writes on open).
     ///
     /// # Errors
     ///
-    /// As for [`TreeStore::write_path`].
+    /// [`OramError::Storage`] on I/O failure.
     pub fn write_path(&mut self, indices: &[u64], buf: &[u8]) -> Result<(), OramError> {
-        delegate!(self, s => s.write_path(indices, buf))
+        let bb = self.bucket_bytes;
+        let split = indices
+            .iter()
+            .position(|&i| i >= self.arena_buckets)
+            .unwrap_or(indices.len());
+        for (level, &index) in indices[..split].iter().enumerate() {
+            self.arena_slot_mut(index)
+                .copy_from_slice(&buf[level * bb..(level + 1) * bb]);
+        }
+        let (deep, images) = (&indices[split..], &buf[split * bb..]);
+        if deep.is_empty() {
+            return Ok(());
+        }
+        assert!(
+            deep.iter().all(|&i| i >= self.arena_buckets),
+            "write_path takes arena buckets before file-tier buckets"
+        );
+        let tier = self
+            .file
+            .as_mut()
+            .expect("deep buckets live in the file tier");
+        if let Some(wal) = tier.wal.as_mut() {
+            // lint: allow(no-alloc, Wal::append serialises into the log's scratch record, which grows once to a full path record; later appends reuse its capacity)
+            self.wal_seq = wal.append(deep, images)?;
+        }
+        for (level, &index) in deep.iter().enumerate() {
+            let offset = self.layout.linear_bucket_address(index);
+            tier.write_at(
+                index,
+                offset,
+                &images[level * bb..(level + 1) * bb],
+                "write_path",
+            )?;
+            bit_set(&mut self.initialized, index);
+        }
+        if tier.wal.is_some() {
+            tier.records_since_checkpoint += 1;
+            if tier.records_since_checkpoint >= tier.checkpoint_interval {
+                self.checkpoint()?;
+            }
+        }
+        Ok(())
+    }
+    // lint: end
+
+    /// Copies the raw (encrypted) image of a bucket into `out`, which must
+    /// be exactly `bucket_bytes` long.  Uninitialised buckets read as zero
+    /// bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`OramError::Storage`] on I/O failure.
+    pub fn read_bucket_into(&self, index: u64, out: &mut [u8]) -> Result<(), OramError> {
+        match &self.file {
+            Some(tier) if index >= self.arena_buckets => tier
+                .file
+                .read_exact_at(out, self.layout.linear_bucket_address(index))
+                .map_err(|e| io_err_bucket("read_bucket", index, &tier.tree_path, e)),
+            _ => {
+                out.copy_from_slice(self.arena_bucket(index));
+                Ok(())
+            }
+        }
     }
 
-    /// See [`TreeStore::resident_bytes`].
-    pub fn resident_bytes(&self) -> u64 {
-        delegate!(self, s => s.resident_bytes())
+    /// Raw bucket put, routed to the arena or the file tier; leaves the
+    /// initialised bitmap alone.
+    fn put(&mut self, index: u64, image: &[u8], op: &str) -> Result<(), OramError> {
+        match &self.file {
+            Some(tier) if index >= self.arena_buckets => {
+                tier.write_at(index, self.layout.linear_bucket_address(index), image, op)
+            }
+            _ => {
+                let range = self.arena_range(index);
+                self.arena[range].copy_from_slice(image);
+                bit_set(&mut self.dirty, index);
+                Ok(())
+            }
+        }
     }
 
-    /// See [`TreeStore::tamper_xor`].
+    /// Writes the raw image of a bucket, marking it initialised.  `image`
+    /// must be exactly `bucket_bytes` long.
+    ///
+    /// # Errors
+    ///
+    /// [`OramError::Storage`] on I/O failure.
+    pub fn write_bucket(&mut self, index: u64, image: &[u8]) -> Result<(), OramError> {
+        assert_eq!(
+            image.len(),
+            self.bucket_bytes,
+            "bucket image must be exactly bucket_bytes long"
+        );
+        self.put(index, image, "write_bucket")?;
+        bit_set(&mut self.initialized, index);
+        Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // Active-adversary API (§2): these model a malicious data centre.
+    // ------------------------------------------------------------------
+
+    /// Reads an initialised bucket, applies `edit`, and puts it back
+    /// without touching the initialised bitmap; `false` if the bucket is
+    /// out of range, uninitialised, or the I/O fails.
+    fn edit_bucket(&mut self, index: u64, edit: impl FnOnce(&mut [u8])) -> bool {
+        if index >= self.num_buckets as u64 || !self.is_initialized(index) {
+            return false;
+        }
+        let mut image = vec![0u8; self.bucket_bytes];
+        if self.read_bucket_into(index, &mut image).is_err() {
+            return false;
+        }
+        edit(&mut image);
+        self.put(index, &image, "tamper").is_ok()
+    }
+
+    /// Flips the bits of `mask` at `offset` within bucket `index`; returns
+    /// `false` (and does nothing) if the bucket is uninitialised or the
+    /// offset is out of range.  On the file tier this flips the byte on
+    /// disk.
     pub fn tamper_xor(&mut self, index: u64, offset: usize, mask: u8) -> bool {
-        delegate!(self, s => s.tamper_xor(index, offset, mask))
+        offset < self.bucket_bytes && self.edit_bucket(index, |image| image[offset] ^= mask)
     }
 
-    /// See [`TreeStore::snapshot_bucket`].
+    /// Takes a snapshot of a bucket's current ciphertext (for replay
+    /// attacks).  An uninitialised bucket snapshots as an empty vector.
     pub fn snapshot_bucket(&self, index: u64) -> Vec<u8> {
-        delegate!(self, s => s.snapshot_bucket(index))
+        if !self.is_initialized(index) {
+            return Vec::new();
+        }
+        let mut out = vec![0u8; self.bucket_bytes];
+        self.read_bucket_into(index, &mut out)
+            .expect("snapshotting an initialised bucket");
+        out
     }
 
-    /// See [`TreeStore::replay_bucket`].
+    /// Replays a previously snapshotted ciphertext into a bucket.  An empty
+    /// snapshot restores the bucket to its uninitialised (all-zero) state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot length is neither zero nor a full bucket
+    /// image (test-harness contract), or on file-tier I/O failure.
     pub fn replay_bucket(&mut self, index: u64, snapshot: &[u8]) {
-        delegate!(self, s => s.replay_bucket(index, snapshot))
+        assert!(
+            snapshot.is_empty() || snapshot.len() == self.bucket_bytes,
+            "snapshot must be a full bucket image"
+        );
+        if snapshot.is_empty() {
+            self.put(index, &vec![0u8; self.bucket_bytes], "replay")
+                .expect("zeroing a bucket on replay");
+            bit_clear(&mut self.initialized, index);
+        } else {
+            self.write_bucket(index, snapshot)
+                .expect("replaying a bucket image");
+        }
     }
 
-    /// See [`TreeStore::rollback_seed`].
+    /// Rolls back the plaintext seed field in a bucket header by `delta`
+    /// (the seed is stored in the clear, §6.4).  Returns `false` if the
+    /// bucket is uninitialised.
     pub fn rollback_seed(&mut self, index: u64, delta: u64) -> bool {
-        delegate!(self, s => s.rollback_seed(index, delta))
+        self.edit_bucket(index, |image| {
+            let seed = u64::from_le_bytes(image[..8].try_into().expect("8-byte header"));
+            image[..8].copy_from_slice(&seed.wrapping_sub(delta).to_le_bytes());
+        })
     }
 
-    /// See [`TreeStore::persist_to`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`TreeStore::persist_to`].
-    pub fn persist_to(&self, dir: &Path, label: u32) -> Result<(), OramError> {
-        delegate!(self, s => s.persist_to(dir, label))
-    }
+    // ------------------------------------------------------------------
+    // Persistence.
+    // ------------------------------------------------------------------
 
-    /// Sequence number of the last writeback this store's contents cover
-    /// (0 for stores that never logged; see [`FileStore::wal_seq`] and
-    /// [`MemStore::wal_seq`]).  The controller barrier recorded in
-    /// snapshots compares against this on resume.
-    pub fn wal_seq(&self) -> u64 {
-        match self {
-            TreeStorage::Mem(m) => m.wal_seq(),
-            TreeStorage::File(f) => f.wal_seq(),
-            TreeStorage::Tiered(t) => t.wal_seq(),
+    /// Writes every dirty arena bucket into the tree file (a no-op without
+    /// a file tier).  Leaves the dirty bitmap alone so it runs from
+    /// `&self`; re-flushing an image the file already has is harmless.
+    fn flush_arena(&self) -> Result<(), OramError> {
+        let Some(tier) = &self.file else {
+            return Ok(());
+        };
+        for index in 0..self.arena_buckets {
+            if bit_get(&self.dirty, index) {
+                let offset = self.layout.linear_bucket_address(index);
+                tier.write_at(index, offset, self.arena_bucket(index), "flush arena")?;
+            }
         }
+        Ok(())
     }
 
-    /// Explicit WAL checkpoint fold (see [`FileStore::checkpoint`] and
-    /// [`TieredStore::checkpoint`]); a no-op for memory stores.
+    /// Folds the arena and the applied log into the on-disk checkpoint:
+    /// flush the dirty arena buckets into the tree file, sync it, rewrite
+    /// `tree<label>.meta` (atomically, see
+    /// [`crate::snapshot::write_state_file`]) to cover sequence number
+    /// `wal_seq`, then truncate the log back to a bare header.  A crash
+    /// between any two of these steps is safe: before the meta write the
+    /// old checkpoint + full log still recover the file tier; after it the
+    /// new checkpoint covers every record the truncation is about to drop.
+    /// A no-op without a file tier.
+    ///
+    /// Runs automatically every `checkpoint_interval` logged writebacks;
+    /// callable directly for an explicit fold.
     ///
     /// # Errors
     ///
-    /// As for [`FileStore::checkpoint`].
+    /// [`OramError::Storage`] on I/O failure.
+    // lint: no-panic
     pub fn checkpoint(&mut self) -> Result<(), OramError> {
-        match self {
-            TreeStorage::Mem(_) => Ok(()),
-            TreeStorage::File(f) => f.checkpoint(),
-            TreeStorage::Tiered(t) => t.checkpoint(),
+        self.flush_arena()?;
+        self.dirty.fill(0);
+        let Some(tier) = self.file.as_mut() else {
+            return Ok(());
+        };
+        tier.file
+            .sync_all()
+            .map_err(|e| io_err("syncing", &tier.tree_path, e))?;
+        write_tree_meta(
+            &tree_meta_path(&tier.dir, tier.label),
+            self.num_buckets,
+            self.bucket_bytes,
+            self.layout.subtree_levels(),
+            &self.initialized,
+            self.wal_seq,
+        )?;
+        if let Some(wal) = tier.wal.as_mut() {
+            wal.truncate_to(self.wal_seq)?;
         }
+        tier.records_since_checkpoint = 0;
+        Ok(())
+    }
+    // lint: end
+
+    /// Persists the tree into `dir` as `tree<label>.oram` (bucket images at
+    /// their subtree-layout offsets; one format for every configuration,
+    /// so any snapshot resumes under any other) plus `tree<label>.meta`
+    /// (geometry + initialised bitmap + WAL sequence, digest-sealed).
+    /// Persisting into the file tier's own directory flushes the arena into
+    /// the live file and syncs it; anywhere else the initialised buckets
+    /// are copied into a fresh sparse file.
+    ///
+    /// # Errors
+    ///
+    /// [`OramError::Storage`] on I/O failure.
+    pub fn persist_to(&self, dir: &Path, label: u32) -> Result<(), OramError> {
+        std::fs::create_dir_all(dir).map_err(|e| io_err("creating", dir, e))?;
+        let target = tree_file_path(dir, label);
+        let live = self.file.as_ref().filter(|tier| {
+            matches!(
+                (std::fs::canonicalize(&target), std::fs::canonicalize(&tier.tree_path)),
+                (Ok(a), Ok(b)) if a == b
+            )
+        });
+        if let Some(tier) = live {
+            // In place, the live WAL stays as is: replay is idempotent, and
+            // the meta written below covers everything applied so far.
+            self.flush_arena()?;
+            tier.file
+                .sync_all()
+                .map_err(|e| io_err("syncing", &tier.tree_path, e))?;
+        } else {
+            let out = OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(&target)
+                .map_err(|e| io_err("creating", &target, e))?;
+            out.set_len(self.layout.total_bytes())
+                .map_err(|e| io_err("sizing", &target, e))?;
+            let mut buf = vec![0u8; self.bucket_bytes];
+            for index in 0..self.num_buckets as u64 {
+                if !self.is_initialized(index) {
+                    continue;
+                }
+                self.read_bucket_into(index, &mut buf)?;
+                out.write_all_at(&buf, self.layout.linear_bucket_address(index))
+                    .map_err(|e| io_err_bucket("persist bucket", index, &target, e))?;
+            }
+            out.sync_all().map_err(|e| io_err("syncing", &target, e))?;
+            // The copy is complete as of wal_seq; a stale log beside the
+            // target would replay foreign buckets over it on resume.
+            let _ = std::fs::remove_file(wal::wal_file_path(dir, label));
+        }
+        write_tree_meta(
+            &tree_meta_path(dir, label),
+            self.num_buckets,
+            self.bucket_bytes,
+            self.layout.subtree_levels(),
+            &self.initialized,
+            self.wal_seq,
+        )
     }
 
-    /// See [`FileStore::set_checkpoint_interval`]; no-op for memory stores.
+    /// Overrides the auto-checkpoint cadence (clamped to ≥ 1).  Test
+    /// harness hook; the default is [`DEFAULT_CHECKPOINT_INTERVAL`].
     #[doc(hidden)]
     pub fn set_checkpoint_interval(&mut self, records: u64) {
-        match self {
-            TreeStorage::Mem(_) => {}
-            TreeStorage::File(f) => f.set_checkpoint_interval(records),
-            TreeStorage::Tiered(t) => t.set_checkpoint_interval(records),
+        if let Some(tier) = self.file.as_mut() {
+            tier.checkpoint_interval = records.max(1);
         }
     }
 
-    /// See [`FileStore::set_fail_after_wal_bytes`]; no-op for memory stores.
+    /// Fault-injection hook (kill-point suite): permit at most `bytes`
+    /// further WAL bytes, then fail appends leaving a torn record.  No-op
+    /// without a WAL.
     #[doc(hidden)]
     pub fn set_fail_after_wal_bytes(&mut self, bytes: u64) {
-        match self {
-            TreeStorage::Mem(_) => {}
-            TreeStorage::File(f) => f.set_fail_after_wal_bytes(bytes),
-            TreeStorage::Tiered(t) => t.set_fail_after_wal_bytes(bytes),
+        if let Some(wal) = self.file.as_mut().and_then(|tier| tier.wal.as_mut()) {
+            wal.set_crash_after_bytes(bytes);
         }
     }
 
-    /// See [`FileStore::set_fail_after_tree_writes`]; no-op for memory
-    /// stores.
+    /// Fault-injection hook (kill-point suite): permit at most `writes`
+    /// further bucket writes to the tree file, then fail.  No-op without a
+    /// file tier.
     #[doc(hidden)]
     pub fn set_fail_after_tree_writes(&mut self, writes: u64) {
-        match self {
-            TreeStorage::Mem(_) => {}
-            TreeStorage::File(f) => f.set_fail_after_tree_writes(writes),
-            TreeStorage::Tiered(t) => t.set_fail_after_tree_writes(writes),
+        if let Some(tier) = self.file.as_mut() {
+            tier.fail_tree_writes_after.set(Some(writes));
         }
     }
 }
@@ -2204,8 +1493,13 @@ mod tests {
         dir
     }
 
-    /// Runs the shared store-contract checks against any store.
-    fn check_store_contract(s: &mut dyn TreeStore) {
+    /// A budget that puts exactly `k` levels in the treetop for `params()`.
+    fn budget_for_levels(p: &OramParams, k: u32) -> u64 {
+        ((1u64 << k) - 1) * p.bucket_bytes() as u64
+    }
+
+    /// Runs the store-contract checks against one configuration.
+    fn check_store_contract(s: &mut TreeStorage) {
         assert!(s.num_buckets() > 0);
         assert!(!s.is_initialized(0));
         let bb = s.bucket_bytes();
@@ -2276,32 +1570,36 @@ mod tests {
     }
 
     #[test]
-    fn mem_store_satisfies_the_contract() {
-        let mut s = MemStore::new(&params());
-        check_store_contract(&mut s);
-    }
-
-    #[test]
-    fn file_store_satisfies_the_contract() {
-        let mut s = FileStore::create_temp(&params(), 0, Durability::None).unwrap();
-        check_store_contract(&mut s);
+    fn tiered_store_satisfies_the_contract_across_the_k_sweep() {
+        let p = params();
+        // The arena-only store, then a file tier under K = 0 (pure file),
+        // a mid split, and K = levels (everything in the arena).
+        let mut mem = TreeStorage::new(&p);
+        assert_eq!(mem.treetop_levels(), p.levels());
+        check_store_contract(&mut mem);
+        for k in [0, 2, p.levels()] {
+            let budget = budget_for_levels(&p, k);
+            let mut s = TreeStorage::create_temp(&p, 0, Durability::None, budget).unwrap();
+            assert_eq!(s.treetop_levels(), k, "budget {budget} should give K={k}");
+            check_store_contract(&mut s);
+        }
     }
 
     #[test]
     fn mem_store_zero_copy_accessors_still_work() {
         let p = params();
         let mut s = MemStore::new(&p);
-        s.bucket_slot_mut(5)[0] = 0xAB;
+        s.arena_slot_mut(5)[0] = 0xAB;
         assert!(s.is_initialized(5));
-        assert_eq!(s.read_bucket(5)[0], 0xAB);
-        assert_eq!(s.bucket_offset(5), 5 * s.bucket_bytes());
+        assert_eq!(s.arena_bucket(5)[0], 0xAB);
+        assert_eq!(s.arena_offset(5), 5 * s.bucket_bytes());
         // Adjacent buckets sit back to back in the arena.
         for idx in 0..s.num_buckets() as u64 {
             let image = vec![idx as u8 + 1; s.bucket_bytes()];
             s.write_bucket(idx, &image).unwrap();
         }
         for idx in 0..s.num_buckets() as u64 {
-            assert!(s.read_bucket(idx).iter().all(|&b| b == idx as u8 + 1));
+            assert!(s.arena_bucket(idx).iter().all(|&b| b == idx as u8 + 1));
         }
     }
 
@@ -2315,7 +1613,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "bucket_bytes")]
     fn file_store_rejects_wrong_size_image() {
-        let mut s = FileStore::create_temp(&params(), 0, Durability::None).unwrap();
+        let mut s = TreeStorage::create_temp(&params(), 0, Durability::None, 0).unwrap();
         let _ = s.write_bucket(0, &[0u8; 3]);
     }
 
@@ -2334,7 +1632,7 @@ mod tests {
         mem.persist_to(&dir_a, 0).unwrap();
 
         // Resume it file-backed, verify contents, mutate, persist elsewhere.
-        let mut file = FileStore::open(&p, &dir_a, 0, Durability::None).unwrap();
+        let mut file = TreeStorage::open(&p, &dir_a, 0, Durability::None, 0).unwrap();
         let mut out = vec![0u8; file.bucket_bytes()];
         file.read_bucket_into(1, &mut out).unwrap();
         assert_eq!(out, image_a);
@@ -2347,9 +1645,9 @@ mod tests {
 
         // Resume *that* as a mem store.
         let mem2 = MemStore::load(&p, &dir_b, 0).unwrap();
-        assert_eq!(mem2.read_bucket(1), &image_a[..]);
-        assert_eq!(mem2.read_bucket(2), &image_c[..]);
-        assert_eq!(mem2.read_bucket(30), &image_b[..]);
+        assert_eq!(mem2.arena_bucket(1), &image_a[..]);
+        assert_eq!(mem2.arena_bucket(2), &image_c[..]);
+        assert_eq!(mem2.arena_bucket(30), &image_b[..]);
         assert_eq!(mem2.resident_bytes(), 3 * mem2.bucket_bytes() as u64);
 
         std::fs::remove_dir_all(&dir_a).unwrap();
@@ -2360,11 +1658,11 @@ mod tests {
     fn file_store_persists_in_place_with_a_flush() {
         let p = params();
         let dir = temp_dir("inplace");
-        let mut s = FileStore::create(&p, &dir, 0, Durability::None).unwrap();
+        let mut s = TreeStorage::create(&p, &dir, 0, Durability::None, 0).unwrap();
         s.write_bucket(4, &vec![0x44; s.bucket_bytes()]).unwrap();
         s.persist_to(&dir, 0).unwrap();
         drop(s);
-        let s2 = FileStore::open(&p, &dir, 0, Durability::None).unwrap();
+        let s2 = TreeStorage::open(&p, &dir, 0, Durability::None, 0).unwrap();
         let mut out = vec![0u8; s2.bucket_bytes()];
         s2.read_bucket_into(4, &mut out).unwrap();
         assert_eq!(out, vec![0x44; s2.bucket_bytes()]);
@@ -2376,7 +1674,7 @@ mod tests {
         let p = params();
         let dir = temp_dir("nometa");
         assert!(matches!(
-            FileStore::open(&p, &dir, 0, Durability::None),
+            TreeStorage::open(&p, &dir, 0, Durability::None, 0),
             Err(OramError::Storage { .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2386,7 +1684,7 @@ mod tests {
     fn corrupt_metadata_is_an_integrity_violation() {
         let p = params();
         let dir = temp_dir("badmeta");
-        let mut s = FileStore::create(&p, &dir, 0, Durability::None).unwrap();
+        let mut s = TreeStorage::create(&p, &dir, 0, Durability::None, 0).unwrap();
         s.write_bucket(0, &vec![7u8; s.bucket_bytes()]).unwrap();
         s.persist_to(&dir, 0).unwrap();
         drop(s);
@@ -2396,7 +1694,7 @@ mod tests {
         bytes[mid] ^= 0x40;
         std::fs::write(&meta, &bytes).unwrap();
         assert!(matches!(
-            FileStore::open(&p, &dir, 0, Durability::None),
+            TreeStorage::open(&p, &dir, 0, Durability::None, 0),
             Err(OramError::IntegrityViolation { .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2405,13 +1703,13 @@ mod tests {
     #[test]
     fn geometry_mismatch_is_a_snapshot_error() {
         let dir = temp_dir("geom");
-        let s = FileStore::create(&params(), &dir, 0, Durability::None).unwrap();
+        let s = TreeStorage::create(&params(), &dir, 0, Durability::None, 0).unwrap();
         s.persist_to(&dir, 0).unwrap();
         drop(s);
         // Different geometry: more blocks, different bucket size.
         let other = OramParams::new(1 << 10, 64, 4);
         assert!(matches!(
-            FileStore::open(&other, &dir, 0, Durability::None),
+            TreeStorage::open(&other, &dir, 0, Durability::None, 0),
             Err(OramError::Snapshot { .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2420,8 +1718,8 @@ mod tests {
     #[test]
     fn temp_stores_clean_up_after_themselves() {
         let p = params();
-        let s = FileStore::create_temp(&p, 0, Durability::None).unwrap();
-        let dir = s.dir().to_path_buf();
+        let s = TreeStorage::create_temp(&p, 0, Durability::None, 0).unwrap();
+        let dir = s.dir().unwrap().to_path_buf();
         assert!(dir.exists());
         drop(s);
         assert!(!dir.exists(), "temp store directory should be removed");
@@ -2476,7 +1774,7 @@ mod tests {
     fn wal_store_recovers_writebacks_never_persisted() {
         let p = params();
         let dir = temp_dir("walrec");
-        let mut s = FileStore::create(&p, &dir, 0, Durability::Strict).unwrap();
+        let mut s = TreeStorage::create(&p, &dir, 0, Durability::Strict, 0).unwrap();
         let bb = s.bucket_bytes();
         let indices = [0u64, 1, 3];
         let image: Vec<u8> = (0..3 * bb).map(|i| (i % 249) as u8 + 1).collect();
@@ -2484,7 +1782,7 @@ mod tests {
         // No persist_to: only create()'s empty checkpoint and the WAL
         // survive the drop.
         drop(s);
-        let s2 = FileStore::open(&p, &dir, 0, Durability::Strict).unwrap();
+        let s2 = TreeStorage::open(&p, &dir, 0, Durability::Strict, 0).unwrap();
         assert_eq!(s2.wal_seq(), 1);
         let mut out = vec![0u8; bb];
         for (level, &idx) in indices.iter().enumerate() {
@@ -2499,7 +1797,7 @@ mod tests {
     fn auto_checkpoint_folds_the_log_and_survives_reopen() {
         let p = params();
         let dir = temp_dir("ckpt");
-        let mut s = FileStore::create(&p, &dir, 0, Durability::Batch(8)).unwrap();
+        let mut s = TreeStorage::create(&p, &dir, 0, Durability::Batch(8), 0).unwrap();
         s.set_checkpoint_interval(2);
         let bb = s.bucket_bytes();
         for round in 0..5u64 {
@@ -2517,7 +1815,7 @@ mod tests {
             "log should have been truncated by the fold (len {wal_len})"
         );
         drop(s);
-        let s2 = FileStore::open(&p, &dir, 0, Durability::Batch(8)).unwrap();
+        let s2 = TreeStorage::open(&p, &dir, 0, Durability::Batch(8), 0).unwrap();
         assert_eq!(s2.wal_seq(), 5);
         let mut out = vec![0u8; bb];
         s2.read_bucket_into(4, &mut out).unwrap();
@@ -2529,11 +1827,11 @@ mod tests {
     fn reopening_without_durability_folds_and_drops_the_log() {
         let p = params();
         let dir = temp_dir("drop-wal");
-        let mut s = FileStore::create(&p, &dir, 0, Durability::Strict).unwrap();
+        let mut s = TreeStorage::create(&p, &dir, 0, Durability::Strict, 0).unwrap();
         let bb = s.bucket_bytes();
         s.write_path(&[2, 9], &vec![0x5A; 2 * bb]).unwrap();
         drop(s);
-        let s2 = FileStore::open(&p, &dir, 0, Durability::None).unwrap();
+        let s2 = TreeStorage::open(&p, &dir, 0, Durability::None, 0).unwrap();
         assert!(!s2.has_wal());
         assert!(!wal::wal_file_path(&dir, 0).exists());
         assert_eq!(s2.wal_seq(), 1);
@@ -2547,7 +1845,7 @@ mod tests {
     fn mem_load_replays_a_wal_tail() {
         let p = params();
         let dir = temp_dir("mem-tail");
-        let mut s = FileStore::create(&p, &dir, 0, Durability::Strict).unwrap();
+        let mut s = TreeStorage::create(&p, &dir, 0, Durability::Strict, 0).unwrap();
         let bb = s.bucket_bytes();
         s.write_path(&[1, 6], &vec![0x77; 2 * bb]).unwrap();
         // Meta is still the empty create() checkpoint; the data lives only
@@ -2555,17 +1853,9 @@ mod tests {
         drop(s);
         let mem = MemStore::load(&p, &dir, 0).unwrap();
         assert_eq!(mem.wal_seq(), 1);
-        assert_eq!(mem.read_bucket(6), &vec![0x77u8; bb][..]);
+        assert_eq!(mem.arena_bucket(6), &vec![0x77u8; bb][..]);
         assert!(mem.is_initialized(1));
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A budget that puts exactly `k` levels in the treetop for `params()`.
-    fn budget_for_levels(p: &OramParams, k: u32) -> u64 {
-        if k == 0 {
-            return 0;
-        }
-        ((1u64 << k) - 1) * p.bucket_bytes() as u64
     }
 
     #[test]
@@ -2579,18 +1869,6 @@ mod tests {
         assert_eq!(treetop_levels_for_budget(&p, 3 * bb + 1), 2);
         // A huge budget is capped at the tree height.
         assert_eq!(treetop_levels_for_budget(&p, u64::MAX), p.levels());
-    }
-
-    #[test]
-    fn tiered_store_satisfies_the_contract_across_the_k_sweep() {
-        let p = params();
-        // K = 0 (pure spill), a mid split, and K = levels (pure arena).
-        for k in [0, 2, p.levels()] {
-            let budget = budget_for_levels(&p, k);
-            let mut s = TieredStore::create_temp(&p, 0, Durability::None, budget).unwrap();
-            assert_eq!(s.treetop_levels(), k, "budget {budget} should give K={k}");
-            check_store_contract(&mut s);
-        }
     }
 
     #[test]
@@ -2614,11 +1892,11 @@ mod tests {
 
         // Resume as a plain mem store: both tiers must be visible.
         let mem = MemStore::load(&p, &dir_a, 0).unwrap();
-        assert_eq!(mem.read_bucket(1), &top_image[..]);
-        assert_eq!(mem.read_bucket(deep_idx), &deep_image[..]);
+        assert_eq!(mem.arena_bucket(1), &top_image[..]);
+        assert_eq!(mem.arena_bucket(deep_idx), &deep_image[..]);
 
         // Mutate via a plain file store, persist elsewhere, resume tiered.
-        let mut file = FileStore::open(&p, &dir_a, 0, Durability::None).unwrap();
+        let mut file = TreeStorage::open(&p, &dir_a, 0, Durability::None, 0).unwrap();
         let image_c = vec![0x3C; bb];
         file.write_bucket(2, &image_c).unwrap();
         file.persist_to(&dir_b, 0).unwrap();
@@ -2765,31 +2043,26 @@ mod tests {
 
     #[test]
     fn tree_storage_enum_dispatches_to_all_stores() {
+        // Every `StorageKind` variant builds the one store with the
+        // matching tier split.
         let p = params();
-        let mut mem = TreeStorage::create(&p, &StorageKind::Mem, 0, Durability::None).unwrap();
-        assert!(mem.as_mem().is_some());
-        assert!(!mem.is_file_backed());
-        mem.write_bucket(1, &vec![5u8; mem.bucket_bytes()]).unwrap();
-        assert_eq!(mem.snapshot_bucket(1), vec![5u8; mem.bucket_bytes()]);
-
-        let mut file =
-            TreeStorage::create(&p, &StorageKind::TempFile, 0, Durability::None).unwrap();
-        assert!(file.as_mem().is_none());
-        assert!(file.is_file_backed());
-        file.write_bucket(1, &vec![5u8; file.bucket_bytes()])
-            .unwrap();
-        assert_eq!(file.snapshot_bucket(1), vec![5u8; file.bucket_bytes()]);
-
-        let kind = StorageKind::TempTiered {
-            memory_budget: 1 << 20,
-        };
-        let mut tiered = TreeStorage::create(&p, &kind, 0, Durability::None).unwrap();
-        assert!(tiered.as_mem().is_none());
-        assert!(tiered.as_tiered().is_some());
-        assert!(tiered.is_file_backed());
-        tiered
-            .write_bucket(1, &vec![5u8; tiered.bucket_bytes()])
-            .unwrap();
-        assert_eq!(tiered.snapshot_bucket(1), vec![5u8; tiered.bucket_bytes()]);
+        let kinds = [
+            (StorageKind::Mem, false, p.levels()),
+            (StorageKind::TempFile, true, 0),
+            (
+                StorageKind::TempTiered {
+                    memory_budget: budget_for_levels(&p, 2),
+                },
+                true,
+                2,
+            ),
+        ];
+        for (kind, file_backed, k) in kinds {
+            let mut s = TreeStorage::for_kind(&p, &kind, 0, Durability::None).unwrap();
+            assert_eq!(s.is_file_backed(), file_backed, "{kind:?}");
+            assert_eq!(s.treetop_levels(), k, "{kind:?}");
+            s.write_bucket(1, &vec![5u8; s.bucket_bytes()]).unwrap();
+            assert_eq!(s.snapshot_bucket(1), vec![5u8; s.bucket_bytes()]);
+        }
     }
 }

@@ -1,8 +1,8 @@
-//! Write-ahead logging for the file-backed tree store.
+//! Write-ahead logging for the tree store's file tier.
 //!
-//! PR 5's snapshot machinery made the tree durable *between* `persist`
-//! calls; this module makes the [`crate::FileStore`] crash-consistent
-//! *between accesses*.  Every sealed path writeback is appended to a
+//! The snapshot machinery makes the tree durable *at* `persist` calls;
+//! this module makes the file tier of [`crate::TreeStorage`]
+//! crash-consistent *between accesses*.  Every sealed path writeback is appended to a
 //! `tree<label>.wal` redo log **before** the tree file is touched, so a
 //! kill at any byte boundary leaves one of two recoverable states: the
 //! record is complete (replay finishes the tree write) or it is torn
@@ -31,7 +31,7 @@
 //! Sequence numbers are global per tree, not per log generation: the
 //! header records `base_seq` (the last sequence number already compacted
 //! into the checkpoint) and the first record must carry `base_seq + 1`.
-//! Checkpointing (see `FileStore::checkpoint`) folds the applied records
+//! Checkpointing (see `TreeStorage::checkpoint`) folds the applied records
 //! into the `tree<label>.meta` snapshot and truncates the log back to a
 //! bare header.  Records are full bucket post-images, so replay is
 //! idempotent — replaying an already-applied record rewrites the same
@@ -39,14 +39,10 @@
 //! harmless.
 //!
 //! A record carries at most [`MAX_RECORD_BUCKETS`] buckets, and a record's
-//! indices need not form a root-to-leaf path — any ascending index list is
-//! valid.  Two non-path writers rely on this: the batch scheduler's
-//! `end_batch` flush (deferred top-level buckets, written in ascending
-//! chunks of ≤ 64 so every durable mutation advances the sequence number
-//! and the snapshot barrier stays sound mid-flush) and the tiered store's
-//! spill-tier suffixes.  The tiered store's *treetop* writes, by contrast,
-//! are volatile arena writes and never reach the log — the crash-safety
-//! argument for that exemption lives with `TieredStore`, and the
+//! indices need not form a whole root-to-leaf path: the store logs only a
+//! path's file-tier suffix.  Its *arena* writes (the top `K` levels) are
+//! volatile and never reach the log — the crash-safety argument for that
+//! exemption lives in the [`crate::storage`] module docs, and the
 //! system-wide durability state machine is drawn in `docs/ARCHITECTURE.md`
 //! at the workspace root.
 
@@ -71,14 +67,15 @@ const HEADER_LEN: usize = 4 + 8 + 8 + CHECKSUM_BYTES;
 const REC_PREFIX: usize = 4 + 4;
 
 /// Upper bound on buckets per record (a root-to-leaf path; matches the
-/// stack bound of the file store's coalesced reads).
+/// stack bound of the file tier's coalesced reads).
 pub const MAX_RECORD_BUCKETS: usize = 64;
 
 /// When the write-ahead log reaches disk.
 ///
 /// Selected on `OramBuilder::durability`, threaded through the frontend
-/// configs to [`crate::FileStore`].  The memory store ignores it (there is
-/// nothing to make durable), as do backends without untrusted tree storage.
+/// configs to [`crate::TreeStorage`]'s file tier.  Stores without a file
+/// tier ignore it (there is nothing to make durable), as do backends
+/// without untrusted tree storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
     /// No write-ahead log (the default).  Matches the pre-WAL behaviour:
@@ -457,7 +454,7 @@ fn read_u32(bytes: &[u8], at: usize) -> Option<u32> {
     Some(u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?))
 }
 
-/// An open write-ahead log, owned by a live [`crate::FileStore`].
+/// An open write-ahead log, owned by a live [`crate::TreeStorage`] file tier.
 ///
 /// Appends are staged in a reusable scratch buffer and written with one
 /// positional write, so the steady-state logging path allocates nothing

@@ -1,4 +1,5 @@
-//! Kill-point recovery suite for the crash-consistent [`FileStore`].
+//! Kill-point recovery suite for the crash-consistent file tier of
+//! [`TreeStorage`].
 //!
 //! The durability contract under test (see `path_oram::wal`):
 //!
@@ -22,8 +23,7 @@
 //! record reaches the file, nothing after it does), the recovery point is
 //! exact, not merely bounded.
 
-use path_oram::storage::TreeStore as _;
-use path_oram::{Durability, FileStore, OramParams};
+use path_oram::{Durability, OramParams, TreeStorage};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -113,7 +113,7 @@ impl Oracle {
     }
 
     /// Asserts the store's full image equals this model, bucket for bucket.
-    fn assert_matches(&self, store: &FileStore, context: &str) {
+    fn assert_matches(&self, store: &TreeStorage, context: &str) {
         let mut out = vec![0u8; self.bucket_bytes];
         for (index, expected) in self.buckets.iter().enumerate() {
             let index = index as u64;
@@ -143,7 +143,7 @@ const WORKLOAD_LEN: usize = 12;
 /// from a real log so the sweeps stay honest if the format changes.
 fn probe_record_len(p: &OramParams) -> (u64, u64) {
     let dir = temp_dir("probe");
-    let mut store = FileStore::create(p, &dir, 0, Durability::Strict).unwrap();
+    let mut store = TreeStorage::create(p, &dir, 0, Durability::Strict, 0).unwrap();
     let wal_path = dir.join("tree0.wal");
     let header_len = std::fs::metadata(&wal_path).unwrap().len();
     let wb = &workload(p, 1)[0];
@@ -166,7 +166,7 @@ fn kill_points_inside_every_wal_append_recover_the_exact_prefix() {
     for k in 1..=WORKLOAD_LEN {
         for offset in [0, 1, rec_len / 2, rec_len - 1] {
             let dir = temp_dir("sweep-a");
-            let mut store = FileStore::create(&p, &dir, 0, Durability::Strict).unwrap();
+            let mut store = TreeStorage::create(&p, &dir, 0, Durability::Strict, 0).unwrap();
             // Permit records 1..k in full, then `offset` bytes of record k.
             store.set_fail_after_wal_bytes((k as u64 - 1) * rec_len + offset);
             let mut completed = 0usize;
@@ -189,7 +189,7 @@ fn kill_points_inside_every_wal_append_recover_the_exact_prefix() {
             assert_eq!(completed, k - 1);
             drop(store);
 
-            let recovered = FileStore::open(&p, &dir, 0, Durability::Strict).unwrap();
+            let recovered = TreeStorage::open(&p, &dir, 0, Durability::Strict, 0).unwrap();
             assert_eq!(
                 recovered.wal_seq(),
                 k as u64 - 1,
@@ -214,7 +214,7 @@ fn kill_points_inside_every_tree_write_replay_to_completion() {
     for k in 1..=WORKLOAD_LEN {
         for torn_buckets in [0u64, 1, path_len - 1] {
             let dir = temp_dir("sweep-b");
-            let mut store = FileStore::create(&p, &dir, 0, Durability::Strict).unwrap();
+            let mut store = TreeStorage::create(&p, &dir, 0, Durability::Strict, 0).unwrap();
             store.set_fail_after_tree_writes((k as u64 - 1) * path_len + torn_buckets);
             let mut killed = false;
             for wb in &wbs {
@@ -234,7 +234,7 @@ fn kill_points_inside_every_tree_write_replay_to_completion() {
             assert!(killed, "kill point k={k} torn={torn_buckets} never fired");
             drop(store);
 
-            let recovered = FileStore::open(&p, &dir, 0, Durability::Strict).unwrap();
+            let recovered = TreeStorage::open(&p, &dir, 0, Durability::Strict, 0).unwrap();
             assert_eq!(
                 recovered.wal_seq(),
                 k as u64,
@@ -253,7 +253,7 @@ fn kill_points_inside_every_tree_write_replay_to_completion() {
 /// This is the worst-case recovery shape: everything rides on the log.
 fn stale_tree_full_log(p: &OramParams, wbs: &[Writeback]) -> PathBuf {
     let dir = temp_dir("stale");
-    let mut store = FileStore::create(p, &dir, 0, Durability::Strict).unwrap();
+    let mut store = TreeStorage::create(p, &dir, 0, Durability::Strict, 0).unwrap();
     store.set_fail_after_tree_writes(0);
     for wb in wbs {
         // Every call logs its record, then dies on the first tree write.
@@ -284,7 +284,7 @@ fn truncating_the_log_at_every_byte_recovers_a_valid_prefix() {
         }
         std::fs::write(dir.join("tree0.wal"), &wal_bytes[..len]).unwrap();
         let complete_records = (len as u64).saturating_sub(header_len) / rec_len;
-        let recovered = FileStore::open(&p, &dir, 0, Durability::Strict)
+        let recovered = TreeStorage::open(&p, &dir, 0, Durability::Strict, 0)
             .unwrap_or_else(|e| panic!("truncation at {len} must recover cleanly: {e}"));
         assert_eq!(recovered.wal_seq(), complete_records, "truncation at {len}");
         Oracle::after(&p, &wbs, complete_records as usize)
@@ -323,7 +323,7 @@ fn flipping_any_log_byte_recovers_the_checksummed_prefix() {
         } else {
             ((pos as u64) - header_len) / rec_len
         };
-        let recovered = FileStore::open(&p, &dir, 0, Durability::Strict)
+        let recovered = TreeStorage::open(&p, &dir, 0, Durability::Strict, 0)
             .unwrap_or_else(|e| panic!("flip at {pos} must recover cleanly: {e}"));
         assert_eq!(recovered.wal_seq(), intact_records, "flip at {pos}");
         Oracle::after(&p, &wbs, intact_records as usize)
@@ -345,7 +345,7 @@ fn batch_mode_kill_points_recover_like_strict() {
     let wbs = workload(&p, WORKLOAD_LEN);
     for k in [1usize, 5, WORKLOAD_LEN] {
         let dir = temp_dir("batch");
-        let mut store = FileStore::create(&p, &dir, 0, Durability::Batch(4)).unwrap();
+        let mut store = TreeStorage::create(&p, &dir, 0, Durability::Batch(4), 0).unwrap();
         store.set_fail_after_wal_bytes((k as u64 - 1) * rec_len + rec_len / 3);
         for wb in &wbs {
             if store.write_path(&wb.indices, &wb.image).is_err() {
@@ -353,7 +353,7 @@ fn batch_mode_kill_points_recover_like_strict() {
             }
         }
         drop(store);
-        let recovered = FileStore::open(&p, &dir, 0, Durability::Batch(4)).unwrap();
+        let recovered = TreeStorage::open(&p, &dir, 0, Durability::Batch(4), 0).unwrap();
         assert_eq!(recovered.wal_seq(), k as u64 - 1);
         Oracle::after(&p, &wbs, k - 1).assert_matches(&recovered, &format!("batch k={k}"));
         drop(recovered);
@@ -369,7 +369,7 @@ fn recovery_after_a_checkpoint_needs_no_log_tail() {
     let p = params();
     let wbs = workload(&p, WORKLOAD_LEN);
     let dir = temp_dir("ckpt");
-    let mut store = FileStore::create(&p, &dir, 0, Durability::Strict).unwrap();
+    let mut store = TreeStorage::create(&p, &dir, 0, Durability::Strict, 0).unwrap();
     for wb in &wbs {
         store.write_path(&wb.indices, &wb.image).unwrap();
     }
@@ -377,7 +377,7 @@ fn recovery_after_a_checkpoint_needs_no_log_tail() {
     drop(store);
     // Simulate the worst truncation crash: the log vanishes entirely.
     std::fs::remove_file(dir.join("tree0.wal")).unwrap();
-    let recovered = FileStore::open(&p, &dir, 0, Durability::Strict).unwrap();
+    let recovered = TreeStorage::open(&p, &dir, 0, Durability::Strict, 0).unwrap();
     assert_eq!(recovered.wal_seq(), WORKLOAD_LEN as u64);
     Oracle::after(&p, &wbs, WORKLOAD_LEN).assert_matches(&recovered, "post-checkpoint");
     drop(recovered);
@@ -453,6 +453,58 @@ mod oram_level {
             Ok(_) => panic!("resume must not silently accept a drifted tree"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A kill inside the arena flush of a persist must leave a snapshot
+    /// that refuses to resume.  The arena (the treetop levels below `K`)
+    /// is never logged, so the tree file holds it only once a persist
+    /// flushed it; the controller state carrying the barrier is written
+    /// after the tree, so a torn flush leaves the previous barrier behind,
+    /// which the WAL-recovered file tier has already moved past.
+    #[test]
+    fn a_kill_inside_the_treetop_flush_of_persist_never_resumes() {
+        for n in 0u64.. {
+            let dir = temp_dir("oram-flush-kill");
+            let mut oram = builder(&dir)
+                .storage(StorageKind::Tiered {
+                    dir: dir.clone(),
+                    memory_budget: 4 << 10,
+                })
+                .build_freecursive()
+                .unwrap();
+            let storage = oram.backend().storage();
+            assert!(
+                storage.treetop_levels() > 0
+                    && storage.treetop_buckets() < storage.num_buckets() as u64,
+                "the budget must split the tree"
+            );
+            for addr in 0..8u64 {
+                oram.write(addr, &[addr as u8 + 1; 64]).unwrap();
+            }
+            oram.persist(&dir).unwrap();
+            for addr in 8..16u64 {
+                oram.write(addr, &[0xEE; 64]).unwrap();
+            }
+            oram.backend_mut()
+                .storage_mut()
+                .set_fail_after_tree_writes(n);
+            let persisted = oram.persist(&dir);
+            drop(oram);
+            if persisted.is_ok() {
+                // `n` covers every flush write: the sweep is done.
+                assert!(n > 0, "the treetop flush never reached the kill hook");
+                std::fs::remove_dir_all(&dir).unwrap();
+                break;
+            }
+            match OramBuilder::resume(&dir) {
+                Err(FreecursiveError::Backend(path_oram::OramError::Snapshot { detail })) => {
+                    assert!(detail.contains("writeback"), "n={n}: {detail}");
+                }
+                Err(other) => panic!("n={n}: expected a clean barrier error, got: {other}"),
+                Ok(_) => panic!("n={n}: resume accepted a torn treetop"),
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     /// The durability knob rides the snapshot: a resumed instance keeps

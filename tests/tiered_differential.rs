@@ -1,14 +1,13 @@
-//! Differential equivalence suite for the tiered treetop store.
+//! Differential equivalence suite for the treetop split of the tree store.
 //!
 //! The contract under test: `StorageKind::Tiered` — top K tree levels in a
-//! RAM arena, the rest in the file store, K derived from the
+//! RAM arena, the rest in the file tier, K derived from the
 //! `memory_budget` knob — is **behaviourally invisible**.  A seeded mixed
 //! workload through a tiered instance must produce byte-identical responses
 //! and final contents to an in-memory oracle for every treetop split,
 //! including both degenerate corners (budget 0: everything file-backed;
 //! unbounded budget: the whole tree in the arena).  The same must hold when
-//! the workload is submitted through `access_batch` — which engages the
-//! backend's batch dedup scheduler over non-arena stores — and across a
+//! the workload is submitted through `access_batch`, and across a
 //! mid-run persist/resume cycle, where the budget travels inside the
 //! snapshot's config codec.
 
@@ -95,10 +94,8 @@ fn tiered_matches_the_mem_oracle_across_the_k_sweep() {
 
 #[test]
 fn batched_submission_is_byte_identical_to_sequential_over_every_store() {
-    // `access_batch` engages the backend's dedup scheduler for file and
-    // tiered stores (upper-level buckets shared by the batch's paths are
-    // read and sealed once per batch).  The schedule must be semantically
-    // invisible: batched responses byte-identical to the same requests
+    // Batched submission must be semantically invisible over every store
+    // configuration: batched responses byte-identical to the same requests
     // issued one at a time, and the final contents identical to the
     // in-memory oracle's.
     for storage in [
@@ -186,10 +183,8 @@ fn tiered_persist_resume_is_byte_identical_and_carries_the_budget() {
 
 #[test]
 fn batches_spanning_a_persist_cycle_stay_consistent() {
-    // Interleave batched windows with persist/resume: every window is
-    // bracketed inside one `access_batch` call, so a snapshot taken between
-    // windows must capture a fully flushed tree (no deferred state may leak
-    // across the persist boundary).
+    // Interleave batched windows with persist/resume: a snapshot taken
+    // between `access_batch` calls must capture the whole tree.
     let dir = snap_dir("batch-persist");
     let mut oracle = builder(SchemePoint::PX16, StorageKind::Mem)
         .build()
