@@ -1570,13 +1570,27 @@ mod tests {
     }
 
     #[test]
+    fn mem_store_satisfies_the_contract() {
+        // The arena-only store: every level in RAM, no file tier.
+        let p = params();
+        let mut s = MemStore::new(&p);
+        assert_eq!(s.treetop_levels(), p.levels());
+        check_store_contract(&mut s);
+    }
+
+    #[test]
+    fn file_store_satisfies_the_contract() {
+        // K = 0: every level in the file tier.
+        let mut s = TreeStorage::create_temp(&params(), 0, Durability::None, 0).unwrap();
+        assert_eq!(s.treetop_levels(), 0);
+        check_store_contract(&mut s);
+    }
+
+    #[test]
     fn tiered_store_satisfies_the_contract_across_the_k_sweep() {
         let p = params();
-        // The arena-only store, then a file tier under K = 0 (pure file),
-        // a mid split, and K = levels (everything in the arena).
-        let mut mem = TreeStorage::new(&p);
-        assert_eq!(mem.treetop_levels(), p.levels());
-        check_store_contract(&mut mem);
+        // A file tier under K = 0 (pure file), a mid split, and K = levels
+        // (everything in the arena).
         for k in [0, 2, p.levels()] {
             let budget = budget_for_levels(&p, k);
             let mut s = TreeStorage::create_temp(&p, 0, Durability::None, budget).unwrap();

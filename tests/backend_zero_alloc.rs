@@ -1,149 +1,19 @@
 //! Allocator-level proof that `PathOramBackend::access_into` is
-//! allocation-free in steady state, over every configuration of the tree
-//! store: the whole tree in the RAM arena, the file tier alone (K = 0), and
-//! a treetop split with both tiers on the path.
-//!
-//! A counting global allocator wraps the system allocator; after a warm-up
-//! that touches every block (so the residency set, stash slab, classifier
-//! lists and scratch buffers have all reached their working capacities),
-//! two thousand further accesses must perform **zero** heap allocations.
-//! Arena levels are served in place, file-tier levels go through positional
-//! I/O straight into the backend's reusable scratch buffers (`path_buf` in,
-//! `write_buf` out).
-//!
-//! This file deliberately contains a single test: the counter is global, so
-//! a concurrently running test in the same binary would pollute it.
+//! allocation-free in steady state with the whole tree in the RAM arena.
+//! The harness is in `zero_alloc/mod.rs`; `backend_zero_alloc_file.rs` and
+//! `backend_zero_alloc_tiered.rs` pin the file tier and a treetop split.
 
-use path_oram::{
-    AccessOp, Durability, EncryptionMode, OramBackend, OramParams, PathOramBackend, StorageKind,
-};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod zero_alloc;
 
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-const N: u64 = 1 << 10;
-const BLOCK: usize = 64;
-
-/// Warms up a backend over `kind`, then returns the number of heap
-/// allocations performed by 2000 steady-state accesses.
-fn steady_state_allocations(kind: &StorageKind, seed: u64) -> u64 {
-    let params = OramParams::new(N, BLOCK, 4);
-    // GlobalSeed: the proof covers the *encrypted* hot path, not just the
-    // plaintext one.
-    let mut backend = PathOramBackend::new_with_storage(
-        params,
-        EncryptionMode::GlobalSeed,
-        [3u8; 16],
-        0,
-        kind,
-        Durability::None,
-        0,
-    )
-    .unwrap();
-    if let StorageKind::TempTiered { .. } = kind {
-        let k = backend.storage().treetop_levels();
-        assert!(
-            k > 0 && k < params.levels(),
-            "the budget must split the tree, got K={k} of {} levels",
-            params.levels()
-        );
-    }
-    let leaves = params.num_leaves();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut posmap: Vec<u64> = (0..N).map(|_| rng.gen_range(0..leaves)).collect();
-    let mut out = Vec::with_capacity(BLOCK);
-    let mut write_data = [0u8; BLOCK];
-
-    let mut access = |backend: &mut PathOramBackend, i: u64, op: Option<AccessOp>| {
-        let addr = if op.is_some() { i } else { rng.gen_range(0..N) };
-        let new_leaf = rng.gen_range(0..leaves);
-        let old_leaf = std::mem::replace(&mut posmap[addr as usize], new_leaf);
-        let op = op.unwrap_or(if i.is_multiple_of(2) {
-            AccessOp::Read
-        } else {
-            AccessOp::Write
-        });
-        write_data[0] = i as u8;
-        let data = (op == AccessOp::Write).then_some(&write_data[..]);
-        backend
-            .access_into(op, addr, old_leaf, new_leaf, data, &mut out)
-            .unwrap();
-    };
-
-    // Warm-up: write every block once (populating the residency set to its
-    // final size), then run a mixed workload long enough for every scratch
-    // buffer and map to reach steady capacity.
-    for addr in 0..N {
-        access(&mut backend, addr, Some(AccessOp::Write));
-    }
-    for i in 0..2000u64 {
-        access(&mut backend, i, None);
-    }
-
-    let slab_before = backend.stash_slot_capacity();
-    let allocations_before = ALLOCATIONS.load(Ordering::Relaxed);
-    for i in 0..2000u64 {
-        access(&mut backend, i, None);
-    }
-    let delta = ALLOCATIONS.load(Ordering::Relaxed) - allocations_before;
-    assert_eq!(
-        backend.stash_slot_capacity(),
-        slab_before,
-        "{kind:?}: stash slab capacity is stable"
-    );
-    assert!(
-        backend.stats().max_stash_occupancy <= params.stash_capacity,
-        "{kind:?}: stash stayed within capacity"
-    );
-    delta
-}
+use path_oram::StorageKind;
 
 #[test]
 fn steady_state_access_performs_zero_heap_allocations() {
-    // The storage kinds are pinned explicitly (not left to `ORAM_STORAGE`
-    // resolution).  The tiered budget splits the 11-level tree mid-way: a
-    // non-trivial treetop, with the lower levels in the file tier.
-    let kinds = [
-        StorageKind::Mem,
-        StorageKind::TempFile,
-        StorageKind::TempTiered {
-            memory_budget: 16 << 10,
-        },
-    ];
-    for (i, kind) in kinds.iter().enumerate() {
-        assert_eq!(
-            steady_state_allocations(kind, 0x2E20_A110C + i as u64),
-            0,
-            "{kind:?}: steady-state accesses must not touch the heap"
-        );
-    }
+    // The storage kind is pinned explicitly (not left to `ORAM_STORAGE`
+    // resolution).
+    assert_eq!(
+        zero_alloc::steady_state_allocations(&StorageKind::Mem, 0x2E20_A110C),
+        0,
+        "arena steady-state accesses must not touch the heap"
+    );
 }

@@ -1,190 +1,22 @@
-//! Allocator-level companion to `backend_zero_alloc.rs` for the
-//! **file-backed** tree store: after warm-up, steady-state accesses through
-//! `FileStore` must also perform zero heap allocations — positional I/O
-//! reads and writes go straight between the kernel and the backend's
-//! reusable scratch buffers (`path_buf` in, `write_buf` out), so the trait
-//! seam cannot silently reintroduce per-access allocation for either store.
-//! Half the measured accesses run inside `begin_batch`/`end_batch` windows,
-//! so the batch scheduler's dedup cache (which engages on non-arena stores)
-//! is covered by the same pin.
-//!
-//! This file deliberately contains a single test: the counter is global, so
-//! a concurrently running test in the same binary would pollute it.
+//! Allocator-level pin for the tree store with every level in the file tier
+//! (K = 0): positional I/O reads and writes go straight between the kernel
+//! and the backend's reusable scratch buffers, so steady-state accesses must
+//! perform zero heap allocations.  The harness is in `zero_alloc/mod.rs`.
 
-use path_oram::{AccessOp, EncryptionMode, OramBackend, OramParams, PathOramBackend, StorageKind};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod zero_alloc;
 
-struct CountingAllocator;
+use path_oram::StorageKind;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// The pinned allocation budget for 2000 steady-state file-store accesses.
+/// The pinned allocation budget for 2000 steady-state file-tier accesses.
 /// It is zero today; if a legitimate change ever needs to allocate on this
 /// path, raise the pin consciously in review rather than letting it drift.
 const STEADY_STATE_ALLOCATION_BUDGET: u64 = 0;
 
 #[test]
 fn file_store_steady_state_allocation_count_is_pinned() {
-    const N: u64 = 1 << 10;
-    const BLOCK: usize = 64;
-    let params = OramParams::new(N, BLOCK, 4);
-    let mut backend = PathOramBackend::new_with_storage(
-        params,
-        EncryptionMode::GlobalSeed,
-        [3u8; 16],
-        0,
-        &StorageKind::TempFile,
-        path_oram::Durability::None,
-        0,
-    )
-    .unwrap();
-    assert!(
-        backend.storage().is_file_backed(),
-        "this test pins the file store"
-    );
-    let leaves = params.num_leaves();
-
-    let mut rng = StdRng::seed_from_u64(0xF11E_A110C);
-    let mut posmap: Vec<u64> = (0..N).map(|_| rng.gen_range(0..leaves)).collect();
-    let mut out = Vec::with_capacity(BLOCK);
-    let mut write_data = vec![0u8; BLOCK];
-
-    let access = |backend: &mut PathOramBackend,
-                  i: u64,
-                  posmap: &mut [u64],
-                  rng: &mut StdRng,
-                  out: &mut Vec<u8>,
-                  write_data: &mut [u8]| {
-        let addr = rng.gen_range(0..N);
-        let new_leaf = rng.gen_range(0..leaves);
-        let old_leaf = posmap[addr as usize];
-        posmap[addr as usize] = new_leaf;
-        if i.is_multiple_of(2) {
-            backend
-                .access_into(AccessOp::Read, addr, old_leaf, new_leaf, None, out)
-                .unwrap();
-        } else {
-            write_data[0] = i as u8;
-            backend
-                .access_into(
-                    AccessOp::Write,
-                    addr,
-                    old_leaf,
-                    new_leaf,
-                    Some(write_data),
-                    out,
-                )
-                .unwrap();
-        }
-    };
-
-    // Warm-up: touch every block, then run the mixed workload until every
-    // scratch buffer and map has reached steady capacity.
-    for addr in 0..N {
-        let new_leaf = rng.gen_range(0..leaves);
-        let old_leaf = posmap[addr as usize];
-        posmap[addr as usize] = new_leaf;
-        backend
-            .access_into(
-                AccessOp::Write,
-                addr,
-                old_leaf,
-                new_leaf,
-                Some(&write_data),
-                &mut out,
-            )
-            .unwrap();
-    }
-    for i in 0..2000u64 {
-        access(
-            &mut backend,
-            i,
-            &mut posmap,
-            &mut rng,
-            &mut out,
-            &mut write_data,
-        );
-    }
-    // A few warm-up batch windows let the scheduler's dedup cache reach its
-    // working capacity before the measured phase.
-    for window in 0..8u64 {
-        backend.begin_batch();
-        for i in 0..16 {
-            access(
-                &mut backend,
-                window * 16 + i,
-                &mut posmap,
-                &mut rng,
-                &mut out,
-                &mut write_data,
-            );
-        }
-        backend.end_batch().unwrap();
-    }
-
-    let allocations_before = ALLOCATIONS.load(Ordering::Relaxed);
-
-    // Half sequential, half inside batch windows: both submission modes
-    // share the same pinned budget.
-    for i in 0..1000u64 {
-        access(
-            &mut backend,
-            i,
-            &mut posmap,
-            &mut rng,
-            &mut out,
-            &mut write_data,
-        );
-    }
-    for window in 0..62u64 {
-        backend.begin_batch();
-        for i in 0..16 {
-            access(
-                &mut backend,
-                1000 + window * 16 + i,
-                &mut posmap,
-                &mut rng,
-                &mut out,
-                &mut write_data,
-            );
-        }
-        backend.end_batch().unwrap();
-    }
-
-    let allocation_delta = ALLOCATIONS.load(Ordering::Relaxed) - allocations_before;
     assert_eq!(
-        allocation_delta, STEADY_STATE_ALLOCATION_BUDGET,
-        "file-store steady state must stay at its pinned allocation count"
-    );
-    assert!(
-        backend.stats().max_stash_occupancy <= params.stash_capacity,
-        "stash stayed within capacity"
+        zero_alloc::steady_state_allocations(&StorageKind::TempFile, 0xF11E_A110C),
+        STEADY_STATE_ALLOCATION_BUDGET,
+        "file-tier steady state must stay at its pinned allocation count"
     );
 }

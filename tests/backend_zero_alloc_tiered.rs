@@ -1,183 +1,28 @@
-//! Allocator-level companion to `backend_zero_alloc.rs` /
-//! `backend_zero_alloc_file.rs` for the **tiered** tree store: after
-//! warm-up, steady-state accesses through `TieredStore` must also perform
-//! zero heap allocations — arena-tier buckets are memcpy'd from the
-//! resident treetop, spill-tier buckets go through the file store's
-//! positional I/O, and both land in the backend's reusable scratch
-//! buffers.  The measured loop additionally runs inside batch windows
-//! (`begin_batch` / `end_batch`), so the dedup scheduler's cache fills,
-//! seal pass, and chunked flush are all pinned to the same zero budget.
-//!
-//! This file deliberately contains a single test: the counter is global, so
-//! a concurrently running test in the same binary would pollute it.
+//! Allocator-level pin for a treetop split of the tree store: arena levels
+//! are served in place, file-tier levels through positional I/O, and both
+//! land in the backend's reusable scratch buffers, so steady-state accesses
+//! must perform zero heap allocations.  The harness is in
+//! `zero_alloc/mod.rs`, which also asserts that the budget splits the tree.
 
-use path_oram::{AccessOp, EncryptionMode, OramBackend, OramParams, PathOramBackend, StorageKind};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod zero_alloc;
 
-struct CountingAllocator;
+use path_oram::StorageKind;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// The pinned allocation budget for 2000 steady-state tiered accesses
-/// issued in batch windows of 16.  It is zero today; if a legitimate change
-/// ever needs to allocate on this path, raise the pin consciously in review
-/// rather than letting it drift.
+/// The pinned allocation budget for 2000 steady-state split-tree accesses.
+/// It is zero today; if a legitimate change ever needs to allocate on this
+/// path, raise the pin consciously in review rather than letting it drift.
 const STEADY_STATE_ALLOCATION_BUDGET: u64 = 0;
-
-/// Batch window width for the measured loop; matches the frontend's
-/// `access_batch` bracketing of `begin_batch` / `end_batch`.
-const WINDOW: u64 = 16;
 
 #[test]
 fn tiered_store_steady_state_allocation_count_is_pinned() {
-    const N: u64 = 1 << 10;
-    const BLOCK: usize = 64;
-    let params = OramParams::new(N, BLOCK, 4);
-    // A budget that splits the tree mid-way: big enough for a non-trivial
-    // treetop, small enough that the lower levels spill to the file tier.
-    let treetop_budget = 16u64 << 10;
-    let mut backend = PathOramBackend::new_with_storage(
-        params,
-        EncryptionMode::GlobalSeed,
-        [3u8; 16],
-        0,
-        &StorageKind::TempTiered {
-            memory_budget: treetop_budget,
-        },
-        path_oram::Durability::None,
-        0,
-    )
-    .unwrap();
-    let tiered = backend
-        .storage()
-        .as_tiered()
-        .expect("this test pins the tiered store");
-    let split = tiered.treetop_levels();
-    assert!(
-        split > 0 && split < params.levels(),
-        "budget must give a genuine mid-tree split, got K={split} of {} levels",
-        params.levels()
-    );
-    let leaves = params.num_leaves();
-
-    let mut rng = StdRng::seed_from_u64(0x71E2_A110C);
-    let mut posmap: Vec<u64> = (0..N).map(|_| rng.gen_range(0..leaves)).collect();
-    let mut out = Vec::with_capacity(BLOCK);
-    let mut write_data = vec![0u8; BLOCK];
-
-    let access = |backend: &mut PathOramBackend,
-                  i: u64,
-                  posmap: &mut [u64],
-                  rng: &mut StdRng,
-                  out: &mut Vec<u8>,
-                  write_data: &mut [u8]| {
-        let addr = rng.gen_range(0..N);
-        let new_leaf = rng.gen_range(0..leaves);
-        let old_leaf = posmap[addr as usize];
-        posmap[addr as usize] = new_leaf;
-        if i.is_multiple_of(2) {
-            backend
-                .access_into(AccessOp::Read, addr, old_leaf, new_leaf, None, out)
-                .unwrap();
-        } else {
-            write_data[0] = i as u8;
-            backend
-                .access_into(
-                    AccessOp::Write,
-                    addr,
-                    old_leaf,
-                    new_leaf,
-                    Some(write_data),
-                    out,
-                )
-                .unwrap();
-        }
+    // A budget that splits the 11-level tree mid-way: a non-trivial
+    // treetop, with the lower levels in the file tier.
+    let kind = StorageKind::TempTiered {
+        memory_budget: 16 << 10,
     };
-
-    // Warm-up: touch every block, then run the mixed workload — including
-    // batch windows, so the dedup cache and flush buffers reach steady
-    // capacity before measurement starts.
-    for addr in 0..N {
-        let new_leaf = rng.gen_range(0..leaves);
-        let old_leaf = posmap[addr as usize];
-        posmap[addr as usize] = new_leaf;
-        backend
-            .access_into(
-                AccessOp::Write,
-                addr,
-                old_leaf,
-                new_leaf,
-                Some(&write_data),
-                &mut out,
-            )
-            .unwrap();
-    }
-    for window in 0..(2000 / WINDOW) {
-        backend.begin_batch();
-        for i in 0..WINDOW {
-            access(
-                &mut backend,
-                window * WINDOW + i,
-                &mut posmap,
-                &mut rng,
-                &mut out,
-                &mut write_data,
-            );
-        }
-        backend.end_batch().unwrap();
-    }
-
-    let allocations_before = ALLOCATIONS.load(Ordering::Relaxed);
-
-    for window in 0..(2000 / WINDOW) {
-        backend.begin_batch();
-        for i in 0..WINDOW {
-            access(
-                &mut backend,
-                window * WINDOW + i,
-                &mut posmap,
-                &mut rng,
-                &mut out,
-                &mut write_data,
-            );
-        }
-        backend.end_batch().unwrap();
-    }
-
-    let allocation_delta = ALLOCATIONS.load(Ordering::Relaxed) - allocations_before;
     assert_eq!(
-        allocation_delta, STEADY_STATE_ALLOCATION_BUDGET,
-        "tiered-store batched steady state must stay at its pinned allocation count"
-    );
-    assert!(
-        backend.stats().max_stash_occupancy <= params.stash_capacity,
-        "stash stayed within capacity"
+        zero_alloc::steady_state_allocations(&kind, 0x71E2_A110C),
+        STEADY_STATE_ALLOCATION_BUDGET,
+        "split-tree steady state must stay at its pinned allocation count"
     );
 }
