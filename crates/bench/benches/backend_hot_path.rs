@@ -7,10 +7,9 @@
 //! the whole run finishes in seconds while still exercising every code path.
 
 use bench::baseline::LegacyPathOramBackend;
-use path_oram::{AccessOp, EncryptionMode, OramBackend, OramParams, PathOramBackend};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::time::{Duration, Instant};
+use bench::harness::{measure_backend, Flags, Profile, Windows};
+use path_oram::{EncryptionMode, OramParams, PathOramBackend};
+use std::time::Duration;
 
 /// One benchmark configuration: a tree geometry plus an encryption mode.
 struct Config {
@@ -22,110 +21,44 @@ struct Config {
     measure: u64,
 }
 
-/// Drives `accesses` mixed read/write operations through a backend, playing
-/// the frontend's role (tracking the position map).  Returns elapsed time.
-fn run_workload<B: OramBackend>(
-    backend: &mut B,
-    accesses: u64,
-    posmap: &mut [u64],
-    rng: &mut StdRng,
-    out: &mut Vec<u8>,
-    write_data: &[u8],
-) -> Duration {
-    let n = posmap.len() as u64;
-    let leaves = backend.params().num_leaves();
-    let start = Instant::now();
-    for i in 0..accesses {
-        let addr = rng.gen_range(0..n);
-        let new_leaf = rng.gen_range(0..leaves);
-        let old_leaf = posmap[addr as usize];
-        posmap[addr as usize] = new_leaf;
-        let op = if i % 2 == 0 {
-            AccessOp::Read
-        } else {
-            AccessOp::Write
-        };
-        let data = (op == AccessOp::Write).then_some(write_data);
-        backend
-            .access_into(op, addr, old_leaf, new_leaf, data, out)
-            .expect("benchmark access");
-    }
-    start.elapsed()
-}
-
 fn bench_config(config: &Config) {
     let params = OramParams::new(config.num_blocks, config.block_bytes, 4);
-    let write_data = vec![0xB5u8; config.block_bytes];
-
-    let mut results: Vec<(&str, Duration)> = Vec::new();
-    // Same seeds for both backends: identical request streams.
-    for which in ["baseline", "optimized"] {
-        let mut rng = StdRng::seed_from_u64(0xBEAC4);
-        let mut posmap: Vec<u64> = {
-            let leaves = params.num_leaves();
-            (0..config.num_blocks)
-                .map(|_| rng.gen_range(0..leaves))
-                .collect()
-        };
-        let mut out = Vec::new();
-        let elapsed = if which == "baseline" {
-            let mut backend = LegacyPathOramBackend::new(params, config.mode, [1u8; 16]);
-            run_workload(
-                &mut backend,
-                config.warmup,
-                &mut posmap,
-                &mut rng,
-                &mut out,
-                &write_data,
-            );
-            run_workload(
-                &mut backend,
-                config.measure,
-                &mut posmap,
-                &mut rng,
-                &mut out,
-                &write_data,
-            )
-        } else {
-            let mut backend = PathOramBackend::new(params, config.mode, [1u8; 16], 0).unwrap();
-            run_workload(
-                &mut backend,
-                config.warmup,
-                &mut posmap,
-                &mut rng,
-                &mut out,
-                &write_data,
-            );
-            run_workload(
-                &mut backend,
-                config.measure,
-                &mut posmap,
-                &mut rng,
-                &mut out,
-                &write_data,
-            )
-        };
-        let per_access = elapsed / config.measure as u32;
-        let per_sec = config.measure as f64 / elapsed.as_secs_f64();
+    // One timed window of exactly `measure` accesses after the warmup.
+    let windows = Windows {
+        warmup: config.warmup,
+        windows: 1,
+        min: config.measure,
+        min_secs: 0.0,
+        max: config.measure,
+    };
+    // Same seed for both backends: identical request streams.
+    let (seed, write_byte, chunk) = (0xBEAC4, 0xB5, config.measure);
+    let baseline = {
+        let mut backend = LegacyPathOramBackend::new(params, config.mode, [1u8; 16]);
+        measure_backend(&mut backend, &windows, seed, write_byte, chunk).best
+    };
+    let optimized = {
+        let mut backend = PathOramBackend::new(params, config.mode, [1u8; 16], 0).unwrap();
+        measure_backend(&mut backend, &windows, seed, write_byte, chunk).best
+    };
+    for (which, per_sec) in [("baseline", baseline), ("optimized", optimized)] {
+        let per_access = Duration::from_secs_f64(1.0 / per_sec);
         println!(
             "bench: backend_hot_path/{}/{which:<9} {per_access:>10.2?}/access  {per_sec:>12.0} acc/s",
             config.label
         );
-        results.push((which, elapsed));
     }
-    let baseline = results[0].1.as_secs_f64();
-    let optimized = results[1].1.as_secs_f64();
     println!(
         "bench: backend_hot_path/{}/speedup    {:.2}x",
         config.label,
-        baseline / optimized
+        optimized / baseline
     );
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
     // `cargo bench` passes `--bench`; a test runner passes `--test`.  Both
-    // are harness flags, not ours — ignore everything except --smoke.
+    // are harness flags, not ours — only --smoke is read.
+    let smoke = Flags::from_env().profile() == Profile::Smoke;
     let (warmup, measure) = if smoke { (500, 2_000) } else { (5_000, 20_000) };
     let n_large = if smoke { 1 << 14 } else { 1 << 20 };
     let configs = [

@@ -1,8 +1,11 @@
-//! Runs the ablation studies called out in DESIGN.md: PLB associativity,
-//! DRAM tree layout, and unified-tree-vs-separate-trees bandwidth.
+//! Runs the ablation studies: PLB associativity, DRAM tree layout, and
+//! unified-tree-vs-separate-trees bandwidth.
+
+use oram_sim::experiments::ExperimentScale;
+
 fn main() {
     let scale = bench::scale_from_args();
-    let samples = if std::env::args().any(|a| a == "--quick") {
+    let samples = if scale == ExperimentScale::Quick {
         10
     } else {
         60

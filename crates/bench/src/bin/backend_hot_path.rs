@@ -6,196 +6,73 @@
 //! * `backend_comparison` — the optimised `PathOramBackend` against the
 //!   frozen pre-arena baseline (`bench::baseline`), both measured **in the
 //!   same run** on the 1M-block / 64-byte design point, in plaintext and
-//!   AES-global-seed modes.  The `speedup` field is the headline number the
-//!   perf acceptance gate reads.
+//!   AES-global-seed modes.  The `speedup` field is the in-run ratio.
 //! * `scheme_grid` — functional throughput of every buildable scheme point
 //!   through the `Oram` trait, with the backend byte/crypto counters that
-//!   `FrontendStats::backend` now surfaces.
+//!   `FrontendStats::backend` surfaces.  The smoke profile skips it.
+//!
+//! Gated number: the `aes_global_seed` optimized accesses/sec, within
+//! [`GATE_TOLERANCE`].  Flags and the gate rule are shared by every
+//! perf-smoke driver; see `bench::harness`.
 //!
 //! Usage: `cargo run --release -p bench --bin backend_hot_path`
-//!
-//! Flags:
-//!
-//! * `--quick` — small geometry, short windows (local iteration).
-//! * `--smoke` — the CI perf-smoke profile: the **full 1M-block design
-//!   point** (so rates are comparable with the checked-in full run) with
-//!   short measurement windows, scheme grid skipped.
-//! * `--gate <baseline.json>` — after measuring, compare the fresh
-//!   encrypted-mode (`aes_global_seed`) optimized accesses/sec against the
-//!   same number in `baseline.json` and exit non-zero on a regression of
-//!   more than [`GATE_TOLERANCE`].  Rates are machine-dependent, so the gate
-//!   is only meaningful against a baseline recorded on comparable hardware —
-//!   which is exactly the CI use-case (same runner class every push).
-//! * `--out <path>` — redirect the JSON (default `BENCH_backend.json`).
 
 use bench::baseline::LegacyPathOramBackend;
+use bench::harness::{
+    access_record, measure_backend, write_report, Flags, Json, Profile, Rate, Windows,
+};
 use freecursive::{Oram, OramBuilder, SchemePoint};
-use path_oram::{AccessOp, EncryptionMode, OramBackend, OramParams, PathOramBackend};
+use path_oram::{BackendStats, EncryptionMode, OramBackend, OramParams, PathOramBackend};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
-use std::time::Instant;
 
-/// Result of one measured workload (rate taken from the best of the
-/// measurement windows, byte/crypto counters normalised per access over the
-/// whole measured run).
-struct Measurement {
-    accesses: u64,
-    accesses_per_sec: f64,
-    bytes_per_access: f64,
-    max_stash_occupancy: usize,
-    buckets_decrypted_per_access: f64,
-    buckets_encrypted_per_access: f64,
-}
+/// Allowed fractional regression of encrypted-mode accesses/sec.
+const GATE_TOLERANCE: f64 = 0.20;
 
-impl Measurement {
-    fn ns_per_access(&self) -> f64 {
-        1e9 / self.accesses_per_sec
-    }
-
-    fn json(&self, indent: &str) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\n{indent}  \"accesses\": {},\n{indent}  \"accesses_per_sec\": {:.1},\n\
-             {indent}  \"ns_per_access\": {:.1},\n{indent}  \"bytes_moved_per_access\": {:.1},\n\
-             {indent}  \"max_stash_occupancy\": {},\n{indent}  \"buckets_decrypted_per_access\": {:.2},\n\
-             {indent}  \"buckets_encrypted_per_access\": {:.2}\n{indent}}}",
-            self.accesses,
-            self.accesses_per_sec,
-            self.ns_per_access(),
-            self.bytes_per_access,
-            self.max_stash_occupancy,
-            self.buckets_decrypted_per_access,
-            self.buckets_encrypted_per_access,
-        );
-        s
-    }
-}
-
-/// Runs the standard mixed read/write workload for `windows` measurement
-/// windows of at least `min_accesses` accesses and `min_secs` seconds each
-/// (in chunks, so slow configurations still get a bounded run).  The
-/// reported rate is the best window — the least-interfered-with estimate on
-/// a shared machine; counters are normalised over the full run.
-fn measure_backend<B: OramBackend>(
-    backend: &mut B,
-    warmup: u64,
-    min_accesses: u64,
-    min_secs: f64,
-    max_accesses: u64,
-    windows: u32,
-) -> Measurement {
-    let n = backend.params().num_blocks;
-    let leaves = backend.params().num_leaves();
-    let block_bytes = backend.params().block_bytes;
-    let mut rng = StdRng::seed_from_u64(0xBEAC4);
-    let mut posmap: Vec<u64> = (0..n).map(|_| rng.gen_range(0..leaves)).collect();
-    let mut out = Vec::new();
-    let write_data = vec![0xB5u8; block_bytes];
-
-    let one = |backend: &mut B, i: u64, posmap: &mut [u64], rng: &mut StdRng, out: &mut Vec<u8>| {
-        let addr = rng.gen_range(0..n);
-        let new_leaf = rng.gen_range(0..leaves);
-        let slot = usize::try_from(addr).expect("bench address fits usize");
-        let old_leaf = posmap[slot];
-        posmap[slot] = new_leaf;
-        let op = if i.is_multiple_of(2) {
-            AccessOp::Read
-        } else {
-            AccessOp::Write
-        };
-        let data = (op == AccessOp::Write).then_some(&write_data[..]);
-        backend
-            .access_into(op, addr, old_leaf, new_leaf, data, out)
-            .expect("benchmark access");
-    };
-
-    for i in 0..warmup {
-        one(backend, i, &mut posmap, &mut rng, &mut out);
-    }
-    backend.reset_stats();
-
-    let mut total = 0u64;
-    let mut best_rate = 0f64;
-    for _ in 0..windows {
-        let start = Instant::now();
-        let mut done = 0u64;
-        loop {
-            for i in 0..512 {
-                one(backend, done + i, &mut posmap, &mut rng, &mut out);
-            }
-            done += 512;
-            let secs = start.elapsed().as_secs_f64();
-            if done >= max_accesses || (done >= min_accesses && secs >= min_secs) {
-                break;
-            }
-        }
-        let rate = done as f64 / start.elapsed().as_secs_f64();
-        best_rate = best_rate.max(rate);
-        total += done;
-    }
-    let stats = backend.stats();
-    Measurement {
-        accesses: total,
-        accesses_per_sec: best_rate,
-        bytes_per_access: (stats.bytes_read + stats.bytes_written) as f64 / total as f64,
-        max_stash_occupancy: stats.max_stash_occupancy,
-        buckets_decrypted_per_access: stats.buckets_decrypted as f64 / total as f64,
-        buckets_encrypted_per_access: stats.buckets_encrypted as f64 / total as f64,
-    }
+/// The access record with this report's backend counters, normalised over
+/// the `rate.total` timed accesses.
+fn record(rate: Rate, stats: &BackendStats) -> Json {
+    let per_access = |n: u64| Json::fixed(n as f64 / rate.total as f64, 2);
+    access_record(
+        rate,
+        stats.total_bytes(),
+        [
+            ("max_stash_occupancy", stats.max_stash_occupancy.into()),
+            (
+                "buckets_decrypted_per_access",
+                per_access(stats.buckets_decrypted),
+            ),
+            (
+                "buckets_encrypted_per_access",
+                per_access(stats.buckets_encrypted),
+            ),
+        ],
+    )
 }
 
 /// Measures one `Oram` scheme point with a mixed read/write request stream.
-fn measure_scheme(
-    oram: &mut Box<dyn Oram>,
-    warmup: u64,
-    min_accesses: u64,
-    min_secs: f64,
-    max_accesses: u64,
-) -> Measurement {
+fn measure_scheme(oram: &mut Box<dyn Oram>, windows: &Windows) -> Json {
     let n = oram.num_blocks();
-    let block_bytes = oram.block_bytes();
     let mut rng = StdRng::seed_from_u64(0x0005_CEEE);
     let mut out = Vec::new();
-    let write_data = vec![0x7Eu8; block_bytes];
-
-    let one = |oram: &mut Box<dyn Oram>, i: u64, rng: &mut StdRng, out: &mut Vec<u8>| {
-        let addr = rng.gen_range(0..n);
-        if i.is_multiple_of(2) {
-            oram.read_into(addr, out).expect("benchmark read");
-        } else {
-            oram.write(addr, &write_data).expect("benchmark write");
-        }
-    };
-
-    for i in 0..warmup {
-        one(oram, i, &mut rng, &mut out);
-    }
-    oram.reset_stats();
-
-    let start = Instant::now();
-    let mut done = 0u64;
-    loop {
-        for i in 0..64 {
-            one(oram, done + i, &mut rng, &mut out);
-        }
-        done += 64;
-        let secs = start.elapsed().as_secs_f64();
-        if done >= max_accesses || (done >= min_accesses && secs >= min_secs) {
-            break;
-        }
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let backend = &oram.stats().backend;
-    Measurement {
-        accesses: done,
-        accesses_per_sec: done as f64 / secs,
-        bytes_per_access: (backend.bytes_read + backend.bytes_written) as f64 / done as f64,
-        max_stash_occupancy: backend.max_stash_occupancy,
-        buckets_decrypted_per_access: backend.buckets_decrypted as f64 / done as f64,
-        buckets_encrypted_per_access: backend.buckets_encrypted as f64 / done as f64,
-    }
+    let write_data = vec![0x7Eu8; oram.block_bytes()];
+    let rate = windows.run(
+        oram,
+        64,
+        |oram, ops| {
+            for i in 0..ops {
+                let addr = rng.gen_range(0..n);
+                if i.is_multiple_of(2) {
+                    oram.read_into(addr, &mut out).expect("benchmark read");
+                } else {
+                    oram.write(addr, &write_data).expect("benchmark write");
+                }
+            }
+            ops
+        },
+        |oram| oram.reset_stats(),
+    );
+    record(rate, &oram.stats().backend)
 }
 
 fn mode_label(mode: EncryptionMode) -> &'static str {
@@ -206,116 +83,100 @@ fn mode_label(mode: EncryptionMode) -> &'static str {
     }
 }
 
-/// Allowed fractional regression of encrypted-mode accesses/sec before the
-/// `--gate` check fails (20%, absorbing run-to-run noise on shared runners).
-const GATE_TOLERANCE: f64 = 0.20;
-
-/// Extracts `"accesses_per_sec"` of the `"optimized"` measurement inside the
-/// `"mode": "aes_global_seed"` comparison entry from a `BENCH_backend.json`
-/// produced by this binary.
-fn parse_encrypted_rate(json: &str) -> Option<f64> {
-    let mode = json.find("\"mode\": \"aes_global_seed\"")?;
-    let opt = mode + json[mode..].find("\"optimized\"")?;
-    let key = "\"accesses_per_sec\": ";
-    let rate = opt + json[opt..].find(key)? + key.len();
-    let end = json[rate..].find([',', '\n', '}'])?;
-    json[rate..rate + end].trim().parse().ok()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let gate_path = args
-        .iter()
-        .position(|a| a == "--gate")
-        .and_then(|i| args.get(i + 1));
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_backend.json", |s| s.as_str());
+    let flags = Flags::from_env();
+    let profile = flags.profile();
 
     // Smoke keeps the full design point (rates stay comparable with the
     // checked-in full run) but shortens the windows and skips the grid.
-    let num_blocks: u64 = if quick { 1 << 16 } else { 1 << 20 };
+    let num_blocks: u64 = profile.pick(1 << 16, 1 << 20, 1 << 20);
     let block_bytes = 64usize;
     let params = OramParams::new(num_blocks, block_bytes, 4);
     // Smoke windows are shorter than the full profile's but numerous enough
     // that the best-of estimate is comparable to the checked-in best-of-3
     // full run; a single short window is too noisy to gate on.
-    let (warmup, min_accesses, min_secs, max_accesses, windows) = if smoke {
-        (2_000, 4_000, 0.8, 300_000, 3)
-    } else if quick {
-        (1_000, 2_000, 0.2, 50_000, 2)
-    } else {
-        (10_000, 20_000, 1.5, 2_000_000, 3)
-    };
+    let windows = profile.pick(
+        Windows {
+            warmup: 1_000,
+            windows: 2,
+            min: 2_000,
+            min_secs: 0.2,
+            max: 50_000,
+        },
+        Windows {
+            warmup: 2_000,
+            windows: 3,
+            min: 4_000,
+            min_secs: 0.8,
+            max: 300_000,
+        },
+        Windows {
+            warmup: 10_000,
+            windows: 3,
+            min: 20_000,
+            min_secs: 1.5,
+            max: 2_000_000,
+        },
+    );
 
     {
         let probe = path_oram::BucketCipher::new(EncryptionMode::GlobalSeed, [0u8; 16]);
         eprintln!("AES engine: {}", probe.engine().label());
     }
 
-    let mut encrypted_optimized_rate = 0f64;
-    let mut comparison_json = String::new();
-    for (i, mode) in [EncryptionMode::None, EncryptionMode::GlobalSeed]
-        .into_iter()
-        .enumerate()
-    {
+    let mut comparison = Vec::new();
+    for mode in [EncryptionMode::None, EncryptionMode::GlobalSeed] {
         eprintln!("measuring backend comparison: {} ...", mode_label(mode));
         let mut legacy = LegacyPathOramBackend::new(params, mode, [1u8; 16]);
-        let base = measure_backend(
-            &mut legacy,
-            warmup,
-            min_accesses,
-            min_secs,
-            max_accesses,
-            windows,
-        );
+        let base = measure_backend(&mut legacy, &windows, 0xBEAC4, 0xB5, 512);
+        let base_json = record(base, legacy.stats());
         drop(legacy);
         let mut current = PathOramBackend::new(params, mode, [1u8; 16], 0).expect("backend");
-        let opt = measure_backend(
-            &mut current,
-            warmup,
-            min_accesses,
-            min_secs,
-            max_accesses,
-            windows,
-        );
-        if mode == EncryptionMode::GlobalSeed {
-            encrypted_optimized_rate = opt.accesses_per_sec;
-        }
-        let speedup = opt.accesses_per_sec / base.accesses_per_sec;
+        let opt = measure_backend(&mut current, &windows, 0xBEAC4, 0xB5, 512);
+        let speedup = opt.best / base.best;
         eprintln!(
             "  baseline {:>10.0} acc/s   optimized {:>10.0} acc/s   speedup {speedup:.2}x",
-            base.accesses_per_sec, opt.accesses_per_sec
+            base.best, opt.best
         );
-        if i > 0 {
-            comparison_json.push_str(",\n");
-        }
-        let _ = write!(
-            comparison_json,
-            "    {{\n      \"mode\": \"{}\",\n      \"baseline\": {},\n      \"optimized\": {},\n      \"speedup\": {:.2}\n    }}",
-            mode_label(mode),
-            base.json("      "),
-            opt.json("      "),
-            speedup,
-        );
+        comparison.push(Json::obj([
+            ("mode", mode_label(mode).into()),
+            ("baseline", base_json),
+            ("optimized", record(opt, current.stats())),
+            ("speedup", Json::fixed(speedup, 2)),
+        ]));
     }
 
-    let grid_n: u64 = if quick { 1 << 12 } else { 1 << 14 };
-    let (g_warm, g_min, g_secs, g_max) = if quick {
-        (200, 500, 0.1, 20_000)
+    let grid_n: u64 = if profile == Profile::Quick {
+        1 << 12
     } else {
-        (1_000, 2_000, 1.0, 500_000)
+        1 << 14
     };
-    let mut grid_json = String::new();
-    let mut first = true;
+    let grid_windows = if profile == Profile::Quick {
+        Windows {
+            warmup: 200,
+            windows: 1,
+            min: 500,
+            min_secs: 0.1,
+            max: 20_000,
+        }
+    } else {
+        Windows {
+            warmup: 1_000,
+            windows: 1,
+            min: 2_000,
+            min_secs: 1.0,
+            max: 500_000,
+        }
+    };
+    let mut grid = Vec::new();
     // The scheme grid is informational; the smoke profile gates only on the
     // backend comparison and skips it to keep CI fast.
     let all_points = SchemePoint::all_points();
-    let grid_points: &[SchemePoint] = if smoke { &[] } else { &all_points };
+    let grid_points: &[SchemePoint] = if profile == Profile::Smoke {
+        &[]
+    } else {
+        &all_points
+    };
     for &scheme in grid_points {
         // Phantom's defining 4 KB blocks at grid scale would dwarf the other
         // rows' runtime; the backend comparison above already covers large
@@ -329,57 +190,40 @@ fn main() {
             .block_bytes(block_bytes)
             .build()
             .expect("scheme point builds");
-        let m = measure_scheme(&mut oram, g_warm, g_min, g_secs, g_max);
-        if !first {
-            grid_json.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            grid_json,
-            "    {{\n      \"scheme\": \"{}\",\n      \"num_blocks\": {grid_n},\n      \"block_bytes\": {block_bytes},\n      \"result\": {}\n    }}",
-            scheme.label(),
-            m.json("      "),
-        );
+        grid.push(Json::obj([
+            ("scheme", scheme.label().into()),
+            ("num_blocks", grid_n.into()),
+            ("block_bytes", block_bytes.into()),
+            ("result", measure_scheme(&mut oram, &grid_windows)),
+        ]));
     }
 
-    let profile = if smoke {
-        "smoke"
-    } else if quick {
-        "quick"
-    } else {
-        "full"
-    };
-    let json = format!(
-        "{{\n  \"benchmark\": \"backend_hot_path\",\n  \"quick\": {quick},\n  \"profile\": \"{profile}\",\n  \
-         \"design_point\": {{\n    \"num_blocks\": {num_blocks},\n    \"block_bytes\": {block_bytes},\n    \
-         \"z\": 4,\n    \"levels\": {},\n    \"bucket_bytes\": {},\n    \"stash_capacity\": {}\n  }},\n  \
-         \"backend_comparison\": [\n{comparison_json}\n  ],\n  \"scheme_grid\": [\n{grid_json}\n  ]\n}}\n",
-        params.levels(),
-        params.bucket_bytes(),
-        params.stash_capacity,
-    );
-    std::fs::write(out_path, &json).expect("write BENCH_backend.json");
-    eprintln!("wrote {out_path}");
+    let report = Json::obj([
+        ("benchmark", "backend_hot_path".into()),
+        ("quick", (profile == Profile::Quick).into()),
+        ("profile", profile.label().into()),
+        (
+            "design_point",
+            Json::obj([
+                ("num_blocks", num_blocks.into()),
+                ("block_bytes", block_bytes.into()),
+                ("z", 4u64.into()),
+                ("levels", params.levels().into()),
+                ("bucket_bytes", params.bucket_bytes().into()),
+                ("stash_capacity", params.stash_capacity.into()),
+            ]),
+        ),
+        ("backend_comparison", Json::Arr(comparison)),
+        ("scheme_grid", Json::Arr(grid)),
+    ]);
+    write_report(flags.out("BENCH_backend.json"), &report);
 
-    // Perf-smoke gate: fail on a >20% regression of encrypted-mode
-    // accesses/sec against the recorded baseline.
-    if let Some(path) = gate_path {
-        let baseline =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("gate baseline {path}: {e}"));
-        let baseline_rate = parse_encrypted_rate(&baseline)
-            .unwrap_or_else(|| panic!("gate baseline {path} has no encrypted optimized rate"));
-        let floor = baseline_rate * (1.0 - GATE_TOLERANCE);
-        eprintln!(
-            "perf gate: encrypted-mode {encrypted_optimized_rate:.0} acc/s vs baseline \
-             {baseline_rate:.0} acc/s (floor {floor:.0})"
+    if let Some(mut gate) = flags.gate() {
+        gate.at_least(
+            &report,
+            r#"backend_comparison[mode="aes_global_seed"].optimized.accesses_per_sec"#,
+            GATE_TOLERANCE,
         );
-        if encrypted_optimized_rate < floor {
-            eprintln!(
-                "perf gate FAILED: encrypted-mode throughput regressed more than {:.0}%",
-                GATE_TOLERANCE * 100.0
-            );
-            std::process::exit(1);
-        }
-        eprintln!("perf gate passed");
+        gate.finish();
     }
 }

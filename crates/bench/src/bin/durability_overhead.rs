@@ -13,171 +13,70 @@
 //! twice, and the fsyncs make that bandwidth synchronous, while the no-log
 //! baseline runs at page-cache speed — so the *absolute* ratio is
 //! machine-specific (disk-speed vs RAM-speed).  The gate therefore follows
-//! the other perf-smoke bins: it compares the fresh ratio against the
-//! checked-in baseline's ratio and fails on a regression beyond
-//! [`GATE_TOLERANCE`].  Comparing a ratio (rather than a raw rate) already
-//! cancels most host-speed variation; the wide tolerance absorbs the rest
-//! (two noisy rates divide into a noisier quotient).  The strict rate is
+//! the other perf-smoke drivers: it compares the fresh ratio against the
+//! checked-in baseline's `batch_relative_rate`, within [`GATE_TOLERANCE`].
+//! Comparing a ratio (rather than a raw rate) already cancels most
+//! host-speed variation; the wide tolerance absorbs the rest (two noisy
+//! rates divide into a noisier quotient).  The strict rate is
 //! informational: it measures the disk's fsync latency more than anything
-//! this repo controls.
+//! this repo controls.  Flags and the gate rule are shared by every
+//! perf-smoke driver; see `bench::harness`.
 //!
 //! Usage: `cargo run --release -p bench --bin durability_overhead`
-//!
-//! Flags:
-//!
-//! * `--quick` — small geometry, short windows (local iteration).
-//! * `--smoke` — CI profile: short windows.
-//! * `--gate <baseline.json>` — compare the fresh batch-relative rate
-//!   against the baseline's `batch_relative_rate`; fail (exit non-zero) on
-//!   a regression beyond [`GATE_TOLERANCE`].
-//! * `--out <path>` — redirect the JSON (default `BENCH_durability.json`).
 
-use path_oram::{AccessOp, Durability, EncryptionMode, OramBackend, OramParams, PathOramBackend};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
-use std::time::Instant;
+use bench::harness::{access_record, measure_backend, write_report, Flags, Json, Windows};
+use path_oram::{Durability, EncryptionMode, OramParams, PathOramBackend};
 
 /// Largest tolerated regression of the batch-relative rate (Batch(64)
-/// throughput ÷ no-log file throughput) against the checked-in baseline
-/// before the `--gate` check fails.  Wider than the 20% used by the
-/// absolute-rate gates because a quotient of two independently noisy rates
-/// is noisier than either.
+/// throughput ÷ no-log file throughput) against the checked-in baseline.
+/// Wider than the 20% used by the absolute-rate gates because a quotient
+/// of two independently noisy rates is noisier than either.
 const GATE_TOLERANCE: f64 = 0.40;
 
 /// The batch discipline under test.
 const BATCH_INTERVAL: u32 = 64;
 
-struct Measurement {
-    accesses: u64,
-    accesses_per_sec: f64,
-    bytes_per_access: f64,
-}
-
-impl Measurement {
-    fn json(&self, indent: &str) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\n{indent}  \"accesses\": {},\n{indent}  \"accesses_per_sec\": {:.1},\n\
-             {indent}  \"ns_per_access\": {:.1},\n{indent}  \"bytes_moved_per_access\": {:.1}\n{indent}}}",
-            self.accesses,
-            self.accesses_per_sec,
-            1e9 / self.accesses_per_sec,
-            self.bytes_per_access,
-        );
-        s
-    }
-}
-
-/// The standard mixed read/write workload over one backend; best-of-windows
-/// rate, counters normalised over the whole run.  Identical to the
-/// `storage_tiers` harness so the two reports are comparable.
-fn measure(
-    backend: &mut PathOramBackend,
-    warmup: u64,
-    min_accesses: u64,
-    min_secs: f64,
-    max_accesses: u64,
-    windows: u32,
-) -> Measurement {
-    let n = backend.params().num_blocks;
-    let leaves = backend.params().num_leaves();
-    let block_bytes = backend.params().block_bytes;
-    let mut rng = StdRng::seed_from_u64(0xD07AB1E);
-    let mut posmap: Vec<u64> = (0..n).map(|_| rng.gen_range(0..leaves)).collect();
-    let mut out = Vec::new();
-    let write_data = vec![0x5Du8; block_bytes];
-
-    let mut one = |backend: &mut PathOramBackend, i: u64, rng: &mut StdRng, posmap: &mut [u64]| {
-        let addr = rng.gen_range(0..n);
-        let new_leaf = rng.gen_range(0..leaves);
-        let slot = usize::try_from(addr).expect("bench address fits usize");
-        let old_leaf = posmap[slot];
-        posmap[slot] = new_leaf;
-        let op = if i.is_multiple_of(2) {
-            AccessOp::Read
-        } else {
-            AccessOp::Write
-        };
-        let data = (op == AccessOp::Write).then_some(&write_data[..]);
-        backend
-            .access_into(op, addr, old_leaf, new_leaf, data, &mut out)
-            .expect("benchmark access");
-    };
-
-    for i in 0..warmup {
-        one(backend, i, &mut rng, &mut posmap);
-    }
-    backend.reset_stats();
-
-    let mut total = 0u64;
-    let mut best_rate = 0f64;
-    for _ in 0..windows {
-        let start = Instant::now();
-        let mut done = 0u64;
-        loop {
-            for i in 0..64 {
-                one(backend, done + i, &mut rng, &mut posmap);
-            }
-            done += 64;
-            let secs = start.elapsed().as_secs_f64();
-            if done >= max_accesses || (done >= min_accesses && secs >= min_secs) {
-                break;
-            }
-        }
-        let rate = done as f64 / start.elapsed().as_secs_f64();
-        best_rate = best_rate.max(rate);
-        total += done;
-    }
-    let stats = backend.stats();
-    Measurement {
-        accesses: total,
-        accesses_per_sec: best_rate,
-        bytes_per_access: (stats.bytes_read + stats.bytes_written) as f64 / total as f64,
-    }
-}
-
-/// Pulls `batch_relative_rate` out of a checked-in baseline report.
-fn parse_batch_relative_rate(json: &str) -> Option<f64> {
-    let key = "\"batch_relative_rate\": ";
-    let at = json.find(key)? + key.len();
-    let end = json[at..].find([',', '\n', '}'])?;
-    json[at..at + end].trim().parse().ok()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let gate_path = args
-        .iter()
-        .position(|a| a == "--gate")
-        .and_then(|i| args.get(i + 1));
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_durability.json", |s| s.as_str());
+    let flags = Flags::from_env();
+    let profile = flags.profile();
 
     // Smaller than the storage_tiers design point: every mode here is
     // file-backed, and Strict pays an fsync per access — a 2^20 tree would
     // spend its whole budget waiting on the disk without changing the
     // batch/none ratio the gate reads.
-    let num_blocks: u64 = if quick { 1 << 14 } else { 1 << 16 };
+    let num_blocks: u64 = profile.pick(1 << 14, 1 << 16, 1 << 16);
     let block_bytes = 64usize;
     let params = OramParams::new(num_blocks, block_bytes, 4);
-    let (warmup, min_accesses, min_secs, max_accesses, windows) = if smoke {
-        (1_000, 2_000, 0.5, 100_000, 3)
-    } else if quick {
-        (500, 1_000, 0.2, 30_000, 2)
-    } else {
-        (4_000, 8_000, 1.0, 400_000, 3)
-    };
+    let windows = profile.pick(
+        Windows {
+            warmup: 500,
+            windows: 2,
+            min: 1_000,
+            min_secs: 0.2,
+            max: 30_000,
+        },
+        Windows {
+            warmup: 1_000,
+            windows: 3,
+            min: 2_000,
+            min_secs: 0.5,
+            max: 100_000,
+        },
+        Windows {
+            warmup: 4_000,
+            windows: 3,
+            min: 8_000,
+            min_secs: 1.0,
+            max: 400_000,
+        },
+    );
     // Strict is fsync-bound: give it smaller windows so the report finishes
     // in CI time, without touching the two rates the gate compares.
-    let strict_min = min_accesses / 4;
-    let strict_max = max_accesses / 8;
+    let strict_windows = Windows {
+        min: windows.min / 4,
+        max: windows.max / 8,
+        ..windows
+    };
 
     let modes = [
         ("none", Durability::None),
@@ -186,8 +85,8 @@ fn main() {
     ];
     let mut none_rate = 0f64;
     let mut batch_rate = 0f64;
-    let mut modes_json = String::new();
-    for (i, (label, durability)) in modes.into_iter().enumerate() {
+    let mut rows = Vec::new();
+    for (label, durability) in modes {
         eprintln!("measuring durability mode: {label} ...");
         let mut backend = PathOramBackend::new_with_storage(
             params,
@@ -199,70 +98,53 @@ fn main() {
             0,
         )
         .expect("backend construction");
-        let (lo, hi) = if label == "strict" {
-            (strict_min, strict_max)
+        let mode_windows = if label == "strict" {
+            &strict_windows
         } else {
-            (min_accesses, max_accesses)
+            &windows
         };
-        let m = measure(&mut backend, warmup, lo, min_secs, hi, windows);
-        eprintln!("  {label:>6}: {:>10.0} acc/s", m.accesses_per_sec);
+        let rate = measure_backend(&mut backend, mode_windows, 0xD07AB1E, 0x5D, 64);
+        eprintln!("  {label:>6}: {:>10.0} acc/s", rate.best);
         match label {
-            "none" => none_rate = m.accesses_per_sec,
-            "batch" => batch_rate = m.accesses_per_sec,
+            "none" => none_rate = rate.best,
+            "batch" => batch_rate = rate.best,
             _ => {}
         }
-        if i > 0 {
-            modes_json.push_str(",\n");
-        }
-        let _ = write!(
-            modes_json,
-            "    {{\n      \"durability\": \"{label}\",\n      \"result\": {}\n    }}",
-            m.json("      "),
-        );
+        rows.push(Json::obj([
+            ("durability", label.into()),
+            (
+                "result",
+                access_record(rate, backend.stats().total_bytes(), []),
+            ),
+        ]));
     }
 
     let relative = batch_rate / none_rate;
-    let profile = if smoke {
-        "smoke"
-    } else if quick {
-        "quick"
-    } else {
-        "full"
-    };
-    let json = format!(
-        "{{\n  \"benchmark\": \"durability_overhead\",\n  \"profile\": \"{profile}\",\n  \
-         \"mode\": \"aes_global_seed\",\n  \"design_point\": {{\n    \"num_blocks\": {num_blocks},\n    \
-         \"block_bytes\": {block_bytes},\n    \"z\": 4,\n    \"levels\": {},\n    \
-         \"bucket_bytes\": {},\n    \"batch_interval\": {BATCH_INTERVAL}\n  }},\n  \
-         \"modes\": [\n{modes_json}\n  ],\n  \
-         \"batch_relative_rate\": {relative:.4},\n  \"gate_tolerance\": {GATE_TOLERANCE}\n}}\n",
-        params.levels(),
-        params.bucket_bytes(),
-    );
-    std::fs::write(out_path, &json).expect("write BENCH_durability.json");
-    eprintln!("wrote {out_path}");
+    let report = Json::obj([
+        ("benchmark", "durability_overhead".into()),
+        ("profile", profile.label().into()),
+        ("mode", "aes_global_seed".into()),
+        (
+            "design_point",
+            Json::obj([
+                ("num_blocks", num_blocks.into()),
+                ("block_bytes", block_bytes.into()),
+                ("z", 4u64.into()),
+                ("levels", params.levels().into()),
+                ("bucket_bytes", params.bucket_bytes().into()),
+                ("batch_interval", BATCH_INTERVAL.into()),
+            ]),
+        ),
+        ("modes", Json::Arr(rows)),
+        ("batch_relative_rate", Json::fixed(relative, 4)),
+        ("gate_tolerance", GATE_TOLERANCE.into()),
+    ]);
+    write_report(flags.out("BENCH_durability.json"), &report);
 
-    // Perf-smoke gate: fail if the batch-relative rate regressed more than
-    // GATE_TOLERANCE against the recorded baseline.  The ratio cancels
-    // host speed; the baseline pins the WAL machinery's cost share.
-    if let Some(path) = gate_path {
-        let baseline =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("gate baseline {path}: {e}"));
-        let baseline_relative = parse_batch_relative_rate(&baseline)
-            .unwrap_or_else(|| panic!("gate baseline {path} has no batch_relative_rate"));
-        let floor = baseline_relative * (1.0 - GATE_TOLERANCE);
-        eprintln!(
-            "durability gate: batch/none {relative:.4} vs baseline {baseline_relative:.4} \
-             (floor {floor:.4})"
-        );
-        if relative < floor {
-            eprintln!(
-                "durability gate FAILED: Batch({BATCH_INTERVAL}) relative throughput regressed \
-                 more than {:.0}% against the baseline",
-                GATE_TOLERANCE * 100.0
-            );
-            std::process::exit(1);
-        }
-        eprintln!("durability gate passed");
+    // The ratio cancels host speed; the baseline pins the WAL machinery's
+    // cost share.
+    if let Some(mut gate) = flags.gate() {
+        gate.at_least(&report, "batch_relative_rate", GATE_TOLERANCE);
+        gate.finish();
     }
 }

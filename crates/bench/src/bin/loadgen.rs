@@ -19,25 +19,22 @@
 //! the complete Freecursive design point, 2 shards); `--addr` points the
 //! load at an external `oram_server` instead.
 //!
-//! Usage: `cargo run --release -p bench --bin loadgen`
+//! Gated number: the single-connection requests/sec, within
+//! [`GATE_TOLERANCE`].  Flags and the gate rule are shared by every
+//! perf-smoke driver; see `bench::harness`.  Two flags are this driver's
+//! own:
 //!
-//! Flags:
-//!
-//! * `--quick` — small geometry, short windows (local iteration).
-//! * `--smoke` — the CI profile: full geometry, short windows.
-//! * `--gate <baseline.json>` — compare the fresh single-connection
-//!   requests/sec against `baseline.json`; exit non-zero on a regression
-//!   of more than [`GATE_TOLERANCE`].
-//! * `--out <path>` — redirect the JSON (default `BENCH_service.json`).
 //! * `--addr <host:port>` — drive an external server (skips the
 //!   in-process spawn; `server_panics` is then reported as unknown).
 //! * `--tenant <name>` — tenant for `--addr` runs (default `default`).
+//!
+//! Usage: `cargo run --release -p bench --bin loadgen`
 
-use std::fmt::Write as _;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use bench::harness::{write_report, Flags, Json, Profile, Rate, Windows};
 use freecursive::{OramBuilder, SchemePoint};
 use oram_net::wire::{encode_request, read_frame, write_frame, KIND_R_ERROR};
 use oram_net::{NetClient, NetServer, ServerConfig, WireRequest};
@@ -53,24 +50,16 @@ const MULTI_CONNS: usize = 4;
 /// describe service latency rather than unbounded queue growth.
 const OPEN_LOOP_FRACTION: f64 = 0.6;
 
-/// Allowed fractional regression of single-connection requests/sec before
-/// the `--gate` check fails.  Looser than the in-process benches: the
-/// number crosses the loopback stack and two extra threads, which on a
-/// busy 1-core runner adds noise the 20% gates would trip on.
+/// Allowed fractional regression of single-connection requests/sec.
+/// Looser than the in-process benches: the number crosses the loopback
+/// stack and two extra threads, which on a busy 1-core runner adds noise
+/// the 20% gates would trip on.
 const GATE_TOLERANCE: f64 = 0.25;
 
-struct Profile {
-    name: &'static str,
+struct Shape {
     num_blocks: u64,
-    /// Closed-loop: warmup requests before any window.
-    warmup: u64,
-    /// Closed-loop: measurement windows (best-of).
-    windows: u32,
-    /// Closed-loop: per-window floor on requests and seconds.
-    min_requests: u64,
-    min_secs: f64,
-    /// Closed-loop: per-window request ceiling.
-    max_requests: u64,
+    /// Closed-loop: warmup, best-of windows, per-window request bounds.
+    closed_loop: Windows,
     /// Open-loop: request count ceiling and duration ceiling.
     open_loop_max: u64,
     open_loop_secs: f64,
@@ -78,48 +67,49 @@ struct Profile {
     per_conn: u64,
 }
 
-fn profile(quick: bool, smoke: bool) -> Profile {
-    if quick {
-        Profile {
-            name: "quick",
+fn shape(profile: Profile) -> Shape {
+    match profile {
+        Profile::Quick => Shape {
             num_blocks: 1 << 16,
-            warmup: 1_024,
-            windows: 2,
-            min_requests: 2_048,
-            min_secs: 0.2,
-            max_requests: 20_000,
+            closed_loop: Windows {
+                warmup: 1_024,
+                windows: 2,
+                min: 2_048,
+                min_secs: 0.2,
+                max: 20_000,
+            },
             open_loop_max: 10_000,
             open_loop_secs: 1.0,
             per_conn: 2_048,
-        }
-    } else if smoke {
+        },
         // Full geometry, short windows: comparable shape to the full
         // profile on a CI time budget.
-        Profile {
-            name: "smoke",
+        Profile::Smoke => Shape {
             num_blocks: 1 << 20,
-            warmup: 4_096,
-            windows: 4,
-            min_requests: 4_096,
-            min_secs: 0.5,
-            max_requests: 100_000,
+            closed_loop: Windows {
+                warmup: 4_096,
+                windows: 4,
+                min: 4_096,
+                min_secs: 0.5,
+                max: 100_000,
+            },
             open_loop_max: 50_000,
             open_loop_secs: 2.0,
             per_conn: 4_096,
-        }
-    } else {
-        Profile {
-            name: "full",
+        },
+        Profile::Full => Shape {
             num_blocks: 1 << 20,
-            warmup: 8_192,
-            windows: 3,
-            min_requests: 16_384,
-            min_secs: 1.5,
-            max_requests: 500_000,
+            closed_loop: Windows {
+                warmup: 8_192,
+                windows: 3,
+                min: 16_384,
+                min_secs: 1.5,
+                max: 500_000,
+            },
             open_loop_max: 200_000,
             open_loop_secs: 5.0,
             per_conn: 16_384,
-        }
+        },
     }
 }
 
@@ -172,26 +162,14 @@ fn run_closed_loop(
 }
 
 /// Phase 1: best-of-windows single-connection throughput.
-fn measure_single_conn(client: &mut NetClient, p: &Profile, num_blocks: u64) -> (u64, f64) {
+fn measure_single_conn(client: &mut NetClient, p: &Shape, num_blocks: u64) -> Rate {
     let block_bytes = usize::try_from(client.session().block_bytes).expect("small blocks");
-    run_closed_loop(client, p.warmup, num_blocks, block_bytes);
-    let mut total = 0u64;
-    let mut best_rate = 0f64;
-    for _ in 0..p.windows {
-        let start = Instant::now();
-        let mut done = 0u64;
-        loop {
-            done += run_closed_loop(client, WINDOW as u64 * 4, num_blocks, block_bytes);
-            let secs = start.elapsed().as_secs_f64();
-            if done >= p.max_requests || (done >= p.min_requests && secs >= p.min_secs) {
-                break;
-            }
-        }
-        let rate = done as f64 / start.elapsed().as_secs_f64();
-        best_rate = best_rate.max(rate);
-        total += done;
-    }
-    (total, best_rate)
+    p.closed_loop.run(
+        client,
+        WINDOW as u64 * 4,
+        |client, n| run_closed_loop(client, n, num_blocks, block_bytes),
+        |_| {},
+    )
 }
 
 /// Phase 2: open-loop latency percentiles at a fixed offered rate.
@@ -204,7 +182,7 @@ fn measure_open_loop(
     addr: SocketAddr,
     tenant: &str,
     rate: f64,
-    p: &Profile,
+    p: &Shape,
     num_blocks: u64,
 ) -> (u64, f64, Vec<Duration>) {
     let interval = Duration::from_secs_f64(1.0 / rate);
@@ -259,7 +237,7 @@ fn measure_open_loop(
 }
 
 /// Phase 3: concurrent pipelined connections, aggregate throughput.
-fn measure_multi_conn(addr: SocketAddr, tenant: &str, p: &Profile, num_blocks: u64) -> (u64, f64) {
+fn measure_multi_conn(addr: SocketAddr, tenant: &str, p: &Shape, num_blocks: u64) -> (u64, f64) {
     let start = Instant::now();
     let mut threads = Vec::new();
     for _ in 0..MULTI_CONNS {
@@ -286,32 +264,12 @@ fn percentile_us(sorted: &[Duration], q: f64) -> f64 {
     sorted[rank - 1].as_secs_f64() * 1e6
 }
 
-/// Extracts `"single_conn"`'s `"requests_per_sec"` from a
-/// `BENCH_service.json` produced by this binary.
-fn parse_single_conn_rate(json: &str) -> Option<f64> {
-    let entry = json.find("\"single_conn\"")?;
-    let key = "\"requests_per_sec\": ";
-    let rate = entry + json[entry..].find(key)? + key.len();
-    let end = json[rate..].find([',', '\n', '}'])?;
-    json[rate..rate + end].trim().parse().ok()
-}
-
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let gate_path = flag_value(&args, "--gate");
-    let out_path = flag_value(&args, "--out").unwrap_or("BENCH_service.json");
-    let external = flag_value(&args, "--addr");
-    let tenant = flag_value(&args, "--tenant").unwrap_or("default");
-    let p = profile(quick, smoke);
+    let flags = Flags::from_env();
+    let profile = flags.profile();
+    let external = flags.value("--addr");
+    let tenant = flags.value("--tenant").unwrap_or("default");
+    let p = shape(profile);
 
     let cores = std::thread::available_parallelism().map_or(0, |pll| pll.get());
     eprintln!("available parallelism: {cores} core(s)");
@@ -360,8 +318,9 @@ fn main() {
 
     // Phase 1: single-connection peak (the gated number).
     eprintln!("phase 1: single-connection closed-loop peak ...");
-    let (single_requests, single_rate) = measure_single_conn(&mut client, &p, num_blocks);
-    eprintln!("  {single_rate:>10.0} req/s  ({single_requests} requests)");
+    let single = measure_single_conn(&mut client, &p, num_blocks);
+    let single_rate = single.best;
+    eprintln!("  {single_rate:>10.0} req/s  ({} requests)", single.total);
     drop(client);
 
     // Phase 2: open-loop latency below saturation.
@@ -381,58 +340,63 @@ fn main() {
     eprintln!("  {multi_rate:>10.0} req/s aggregate  ({multi_requests} requests)");
 
     let panics = server.as_ref().map(NetServer::panic_count);
-    let panics_json = panics.map_or("null".to_string(), |n| n.to_string());
     if let Some(n) = panics {
         assert_eq!(n, 0, "server panicked under benchmark load");
     }
 
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        "{{\n  \"benchmark\": \"service_loadgen\",\n  \"profile\": \"{}\",\n  \
-         \"available_parallelism\": {cores},\n  \"server\": {{\n    \
-         \"scheme\": \"PIC_X32\",\n    \"in_process\": {},\n    \
-         \"num_blocks\": {num_blocks},\n    \"block_bytes\": {block_bytes},\n    \
-         \"shards\": {shards},\n    \"pipeline_window\": {WINDOW}\n  }},\n  \
-         \"single_conn\": {{\n    \"requests\": {single_requests},\n    \
-         \"requests_per_sec\": {single_rate:.1},\n    \
-         \"us_per_request\": {:.1}\n  }},\n  \
-         \"open_loop\": {{\n    \"offered_rate_per_sec\": {offered_rate:.1},\n    \
-         \"offered_fraction_of_peak\": {OPEN_LOOP_FRACTION},\n    \
-         \"requests\": {open_requests},\n    \"p50_us\": {p50:.1},\n    \
-         \"p95_us\": {p95:.1},\n    \"p99_us\": {p99:.1}\n  }},\n  \
-         \"multi_conn\": {{\n    \"connections\": {MULTI_CONNS},\n    \
-         \"requests\": {multi_requests},\n    \
-         \"requests_per_sec\": {multi_rate:.1},\n    \"gated\": false\n  }},\n  \
-         \"server_panics\": {panics_json}\n}}\n",
-        p.name,
-        server.is_some(),
-        1e6 / single_rate,
-    );
-    std::fs::write(out_path, &json).expect("write BENCH_service.json");
-    eprintln!("wrote {out_path}");
+    let report = Json::obj([
+        ("benchmark", "service_loadgen".into()),
+        ("profile", profile.label().into()),
+        ("available_parallelism", cores.into()),
+        (
+            "server",
+            Json::obj([
+                ("scheme", "PIC_X32".into()),
+                ("in_process", server.is_some().into()),
+                ("num_blocks", num_blocks.into()),
+                ("block_bytes", block_bytes.into()),
+                ("shards", shards.into()),
+                ("pipeline_window", WINDOW.into()),
+            ]),
+        ),
+        (
+            "single_conn",
+            Json::obj([
+                ("requests", single.total.into()),
+                ("requests_per_sec", Json::fixed(single_rate, 1)),
+                ("us_per_request", Json::fixed(1e6 / single_rate, 1)),
+            ]),
+        ),
+        (
+            "open_loop",
+            Json::obj([
+                ("offered_rate_per_sec", Json::fixed(offered_rate, 1)),
+                ("offered_fraction_of_peak", OPEN_LOOP_FRACTION.into()),
+                ("requests", open_requests.into()),
+                ("p50_us", Json::fixed(p50, 1)),
+                ("p95_us", Json::fixed(p95, 1)),
+                ("p99_us", Json::fixed(p99, 1)),
+            ]),
+        ),
+        (
+            "multi_conn",
+            Json::obj([
+                ("connections", MULTI_CONNS.into()),
+                ("requests", multi_requests.into()),
+                ("requests_per_sec", Json::fixed(multi_rate, 1)),
+                ("gated", false.into()),
+            ]),
+        ),
+        ("server_panics", panics.map_or(Json::Null, Json::from)),
+    ]);
+    write_report(flags.out("BENCH_service.json"), &report);
 
     if let Some(server) = server {
         server.shutdown().expect("clean shutdown");
     }
 
-    if let Some(path) = gate_path {
-        let baseline =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("gate baseline {path}: {e}"));
-        let baseline_rate = parse_single_conn_rate(&baseline)
-            .unwrap_or_else(|| panic!("gate baseline {path} has no single_conn rate"));
-        let floor = baseline_rate * (1.0 - GATE_TOLERANCE);
-        eprintln!(
-            "perf gate: single-conn {single_rate:.0} req/s vs baseline {baseline_rate:.0} req/s \
-             (floor {floor:.0})"
-        );
-        if single_rate < floor {
-            eprintln!(
-                "perf gate FAILED: single-connection throughput regressed more than {:.0}%",
-                GATE_TOLERANCE * 100.0
-            );
-            std::process::exit(1);
-        }
-        eprintln!("perf gate passed");
+    if let Some(mut gate) = flags.gate() {
+        gate.at_least(&report, "single_conn.requests_per_sec", GATE_TOLERANCE);
+        gate.finish();
     }
 }

@@ -9,30 +9,20 @@
 //! — the numbers quantify the padded schedule's price directly (the
 //! `oram_requests_per_op` field is the constant multiplier).
 //!
-//! The CI `--gate` mode compares each workload's fresh ops/sec against
-//! the same workload's row in a baseline file, failing on a regression
-//! beyond [`GATE_TOLERANCE`] — the same contract as the other perf-smoke
-//! gates.
+//! Gated numbers: each workload's ops/sec against the same workload's row
+//! of the baseline, within [`GATE_TOLERANCE`].  The smoke profile runs a
+//! mid-size table.  Flags and the gate rule are shared by every perf-smoke
+//! driver; see `bench::harness`.
 //!
 //! Usage: `cargo run --release -p bench --bin omap_ycsb`
-//!
-//! Flags:
-//!
-//! * `--quick` — small table, short windows (local iteration).
-//! * `--smoke` — CI profile: mid-size table, short windows.
-//! * `--gate <baseline.json>` — check against `baseline.json`; exit
-//!   non-zero on regression.
-//! * `--out <path>` — redirect the JSON (default `BENCH_omap.json`).
 
+use bench::harness::{write_report, Flags, Json, Rate, Windows};
 use freecursive::{OramBuilder, SchemePoint};
 use omap::{BuildMap, MapConfig, ObliviousMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
-use std::time::Instant;
 
-/// Allowed fractional regression of any workload's ops/sec before the
-/// `--gate` check fails (20%, matching the other perf-smoke gates).
+/// Allowed fractional regression of any workload's ops/sec.
 const GATE_TOLERANCE: f64 = 0.20;
 
 /// Zipfian skew of key popularity; 0.99 is the YCSB default.
@@ -93,122 +83,63 @@ fn sample_zipf(cdf: &[f64], rng: &mut StdRng) -> usize {
     cdf.partition_point(|&p| p < draw).min(cdf.len() - 1)
 }
 
-struct Measurement {
-    ops: u64,
-    ops_per_sec: f64,
-}
-
-/// Window shape of one profile (`--quick` / `--smoke` / full).
-struct Profile {
-    min_ops: u64,
-    min_secs: f64,
-    max_ops: u64,
-    windows: u32,
-}
-
 /// Best-of-windows throughput of one mix over a preloaded map.
 fn measure(
     map: &mut ObliviousMap,
     mix: &Mix,
     cdf: &[f64],
     rng: &mut StdRng,
-    profile: &Profile,
-) -> Measurement {
+    windows: &Windows,
+) -> Rate {
     let mut record = vec![0u8; RECORD_BYTES];
-    let mut one = |map: &mut ObliviousMap, rng: &mut StdRng| {
-        let key = key_for(sample_zipf(cdf, rng) as u64);
-        if rng.gen_range(0.0..1.0) < mix.read_fraction {
-            let value = map.get(&key).expect("ycsb read");
-            assert!(value.is_some(), "preloaded key missing");
-        } else {
-            rng.fill(&mut record[..]);
-            map.insert(&key, &record).expect("ycsb update");
+    let ops = |map: &mut ObliviousMap, n: u64| {
+        for _ in 0..n {
+            let key = key_for(sample_zipf(cdf, rng) as u64);
+            if rng.gen_range(0.0..1.0) < mix.read_fraction {
+                let value = map.get(&key).expect("ycsb read");
+                assert!(value.is_some(), "preloaded key missing");
+            } else {
+                rng.fill(&mut record[..]);
+                map.insert(&key, &record).expect("ycsb update");
+            }
         }
+        n
     };
-
-    let mut total = 0u64;
-    let mut best_rate = 0f64;
-    for _ in 0..profile.windows {
-        let start = Instant::now();
-        let mut done = 0u64;
-        loop {
-            for _ in 0..32 {
-                one(map, rng);
-            }
-            done += 32;
-            let secs = start.elapsed().as_secs_f64();
-            if done >= profile.max_ops || (done >= profile.min_ops && secs >= profile.min_secs) {
-                break;
-            }
-        }
-        let rate = done as f64 / start.elapsed().as_secs_f64();
-        best_rate = best_rate.max(rate);
-        total += done;
-    }
-    Measurement {
-        ops: total,
-        ops_per_sec: best_rate,
-    }
-}
-
-/// Extracts the `"ops_per_sec"` of the `"workload": "<name>"` row from a
-/// `BENCH_omap.json` produced by this binary.
-fn parse_workload_rate(json: &str, name: &str) -> Option<f64> {
-    let row = json.find(&format!("\"workload\": \"{name}\""))?;
-    let key = "\"ops_per_sec\": ";
-    let rate = row + json[row..].find(key)? + key.len();
-    let end = json[rate..].find([',', '\n', '}'])?;
-    json[rate..rate + end].trim().parse().ok()
+    windows.run(map, 32, ops, ObliviousMap::reset_stats)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let gate_path = args
-        .iter()
-        .position(|a| a == "--gate")
-        .and_then(|i| args.get(i + 1));
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_omap.json", |s| s.as_str());
+    let flags = Flags::from_env();
+    let profile = flags.profile();
 
-    let (capacity, records, profile) = if smoke {
-        (
-            1u64 << 10,
-            1u64 << 9,
-            Profile {
-                min_ops: 400,
-                min_secs: 0.6,
-                max_ops: 20_000,
-                windows: 3,
-            },
-        )
-    } else if quick {
-        (
-            1u64 << 8,
-            1u64 << 7,
-            Profile {
-                min_ops: 100,
-                min_secs: 0.2,
-                max_ops: 5_000,
-                windows: 2,
-            },
-        )
-    } else {
-        (
-            1u64 << 12,
-            1u64 << 11,
-            Profile {
-                min_ops: 2_000,
-                min_secs: 1.5,
-                max_ops: 200_000,
-                windows: 3,
-            },
-        )
-    };
+    let (capacity, records) = profile.pick(
+        (1u64 << 8, 1u64 << 7),
+        (1 << 10, 1 << 9),
+        (1 << 12, 1 << 11),
+    );
+    let windows = profile.pick(
+        Windows {
+            warmup: 0,
+            windows: 2,
+            min: 100,
+            min_secs: 0.2,
+            max: 5_000,
+        },
+        Windows {
+            warmup: 0,
+            windows: 3,
+            min: 400,
+            min_secs: 0.6,
+            max: 20_000,
+        },
+        Windows {
+            warmup: 0,
+            windows: 3,
+            min: 2_000,
+            min_secs: 1.5,
+            max: 200_000,
+        },
+    );
 
     let scheme = SchemePoint::PicX32;
     let config = MapConfig::new(KEY_BYTES, VALUE_MAX, capacity);
@@ -236,86 +167,56 @@ fn main() {
     }
     let cdf = zipf_cdf(records as usize);
 
-    let mut rates: Vec<(&str, f64)> = Vec::new();
-    let mut rows_json = String::new();
-    for (i, mix) in MIXES.iter().enumerate() {
+    let mut rows = Vec::new();
+    for mix in &MIXES {
         eprintln!(
             "measuring YCSB-{} ({}% reads) ...",
             mix.name,
             mix.read_fraction * 100.0
         );
-        map.reset_stats();
-        let m = measure(&mut map, mix, &cdf, &mut rng, &profile);
+        let rate = measure(&mut map, mix, &cdf, &mut rng, &windows);
         let requests_per_op = map.stats().oram_requests as f64 / map.stats().ops as f64;
         eprintln!(
             "  YCSB-{}: {:>8.0} ops/s ({:.0} ORAM requests/op)",
-            mix.name, m.ops_per_sec, requests_per_op
+            mix.name, rate.best, requests_per_op
         );
-        rates.push((mix.name, m.ops_per_sec));
-        if i > 0 {
-            rows_json.push_str(",\n");
-        }
-        let _ = write!(
-            rows_json,
-            "    {{\n      \"workload\": \"{}\",\n      \"read_fraction\": {},\n      \
-             \"ops\": {},\n      \"ops_per_sec\": {:.1},\n      \"ns_per_op\": {:.1},\n      \
-             \"oram_requests_per_op\": {:.1}\n    }}",
-            mix.name,
-            mix.read_fraction,
-            m.ops,
-            m.ops_per_sec,
-            1e9 / m.ops_per_sec,
-            requests_per_op,
-        );
+        rows.push(Json::obj([
+            ("workload", mix.name.into()),
+            ("read_fraction", mix.read_fraction.into()),
+            ("ops", rate.total.into()),
+            ("ops_per_sec", Json::fixed(rate.best, 1)),
+            ("ns_per_op", Json::fixed(1e9 / rate.best, 1)),
+            ("oram_requests_per_op", Json::fixed(requests_per_op, 1)),
+        ]));
     }
 
-    let profile = if smoke {
-        "smoke"
-    } else if quick {
-        "quick"
-    } else {
-        "full"
-    };
-    let json = format!(
-        "{{\n  \"benchmark\": \"omap_ycsb\",\n  \"profile\": \"{profile}\",\n  \
-         \"scheme\": \"{}\",\n  \"zipf_theta\": {ZIPF_THETA},\n  \"design_point\": {{\n    \
-         \"key_bytes\": {KEY_BYTES},\n    \"value_bytes\": {VALUE_MAX},\n    \
-         \"record_bytes\": {RECORD_BYTES},\n    \"block_bytes\": {BLOCK_BYTES},\n    \
-         \"capacity\": {capacity},\n    \"records\": {records},\n    \
-         \"accesses_per_op\": {},\n    \"total_blocks\": {}\n  }},\n  \
-         \"workloads\": [\n{rows_json}\n  ]\n}}\n",
-        scheme.label(),
-        layout.accesses_per_op(),
-        layout.total_blocks(),
-    );
-    std::fs::write(out_path, &json).expect("write BENCH_omap.json");
-    eprintln!("wrote {out_path}");
+    let report = Json::obj([
+        ("benchmark", "omap_ycsb".into()),
+        ("profile", profile.label().into()),
+        ("scheme", scheme.label().into()),
+        ("zipf_theta", ZIPF_THETA.into()),
+        (
+            "design_point",
+            Json::obj([
+                ("key_bytes", KEY_BYTES.into()),
+                ("value_bytes", VALUE_MAX.into()),
+                ("record_bytes", RECORD_BYTES.into()),
+                ("block_bytes", BLOCK_BYTES.into()),
+                ("capacity", capacity.into()),
+                ("records", records.into()),
+                ("accesses_per_op", layout.accesses_per_op().into()),
+                ("total_blocks", layout.total_blocks().into()),
+            ]),
+        ),
+        ("workloads", Json::Arr(rows)),
+    ]);
+    write_report(flags.out("BENCH_omap.json"), &report);
 
-    if let Some(path) = gate_path {
-        let baseline =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("gate baseline {path}: {e}"));
-        let mut failed = false;
-        for (name, rate) in &rates {
-            let Some(baseline_rate) = parse_workload_rate(&baseline, name) else {
-                eprintln!("perf gate: baseline {path} has no YCSB-{name} row; skipping");
-                continue;
-            };
-            let floor = baseline_rate * (1.0 - GATE_TOLERANCE);
-            eprintln!(
-                "perf gate: YCSB-{name} {rate:.0} ops/s vs baseline {baseline_rate:.0} ops/s \
-                 (floor {floor:.0})"
-            );
-            if *rate < floor {
-                eprintln!(
-                    "perf gate FAILED: YCSB-{name} throughput regressed more than {:.0}%",
-                    GATE_TOLERANCE * 100.0
-                );
-                failed = true;
-            }
+    if let Some(mut gate) = flags.gate() {
+        for mix in &MIXES {
+            let key = format!("workloads[workload=\"{}\"].ops_per_sec", mix.name);
+            gate.at_least(&report, &key, GATE_TOLERANCE);
         }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!("perf gate passed");
+        gate.finish();
     }
 }

@@ -21,15 +21,9 @@
 //! The server prints `listening on <addr>` once ready — `loadgen --addr`
 //! (or any wire-protocol client) can attach from there.
 
+use bench::harness::Flags;
 use freecursive::{OramBuilder, SchemePoint};
 use oram_net::{NetServer, ServerConfig, TenantSpec};
-
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
 
 fn parse_scheme(name: &str) -> SchemePoint {
     match name {
@@ -58,17 +52,22 @@ fn parse_tenants(spec: &str) -> Vec<TenantSpec> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let bind = flag_value(&args, "--bind").unwrap_or("127.0.0.1:4600");
-    let scheme = parse_scheme(flag_value(&args, "--scheme").unwrap_or("pic_x32"));
-    let num_blocks: u64 =
-        flag_value(&args, "--blocks").map_or(1 << 20, |s| s.parse().expect("--blocks"));
-    let block_bytes: usize =
-        flag_value(&args, "--block-bytes").map_or(64, |s| s.parse().expect("--block-bytes"));
-    let shards: u64 = flag_value(&args, "--shards").map_or(2, |s| s.parse().expect("--shards"));
-    let max_inflight: u64 =
-        flag_value(&args, "--max-inflight").map_or(1024, |s| s.parse().expect("--max-inflight"));
-    let tenants = flag_value(&args, "--tenants").map_or_else(
+    let flags = Flags::from_env();
+    let bind = flags.value("--bind").unwrap_or("127.0.0.1:4600");
+    let scheme = parse_scheme(flags.value("--scheme").unwrap_or("pic_x32"));
+    let num_blocks: u64 = flags
+        .value("--blocks")
+        .map_or(1 << 20, |s| s.parse().expect("--blocks"));
+    let block_bytes: usize = flags
+        .value("--block-bytes")
+        .map_or(64, |s| s.parse().expect("--block-bytes"));
+    let shards: u64 = flags
+        .value("--shards")
+        .map_or(2, |s| s.parse().expect("--shards"));
+    let max_inflight: u64 = flags
+        .value("--max-inflight")
+        .map_or(1024, |s| s.parse().expect("--max-inflight"));
+    let tenants = flags.value("--tenants").map_or_else(
         || {
             vec![TenantSpec {
                 name: "default".to_string(),

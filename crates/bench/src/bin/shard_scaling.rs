@@ -11,22 +11,16 @@
 //! baseline recorded on the same runner class, exactly as for
 //! `BENCH_backend.json`.
 //!
+//! Gated number: the 4-shard accesses/sec, within [`GATE_TOLERANCE`].
+//! The quick and smoke profiles run shard counts 1 and 4 only.  Flags and
+//! the gate rule are shared by every perf-smoke driver; see
+//! `bench::harness`.
+//!
 //! Usage: `cargo run --release -p bench --bin shard_scaling`
-//!
-//! Flags:
-//!
-//! * `--quick` — small geometry, short windows (local iteration).
-//! * `--smoke` — the CI profile: the full 1M-block global capacity with
-//!   short windows, shard counts 1 and 4 only.
-//! * `--gate <baseline.json>` — compare the fresh 4-shard accesses/sec
-//!   against the same number in `baseline.json`; exit non-zero on a
-//!   regression of more than [`GATE_TOLERANCE`].
-//! * `--out <path>` — redirect the JSON (default `BENCH_shards.json`).
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
-use std::time::Instant;
 
+use bench::harness::{access_record, write_report, Flags, Json, Windows};
 use freecursive::{Oram, OramBuilder, OramClient, Request, SchemePoint};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,38 +31,9 @@ use rand::{Rng, SeedableRng};
 const BATCH: usize = 256;
 const DEPTH: usize = 4;
 
-/// Allowed fractional regression of 4-shard accesses/sec before the
-/// `--gate` check fails (20%, absorbing run-to-run noise on shared
-/// runners).
+/// Allowed fractional regression of 4-shard accesses/sec (absorbs
+/// run-to-run noise on shared runners).
 const GATE_TOLERANCE: f64 = 0.20;
-
-struct Measurement {
-    accesses: u64,
-    accesses_per_sec: f64,
-    bytes_per_access: f64,
-    buckets_encrypted_per_access: f64,
-    max_stash_occupancy: usize,
-}
-
-impl Measurement {
-    fn json(&self, indent: &str) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\n{indent}  \"accesses\": {},\n{indent}  \"accesses_per_sec\": {:.1},\n\
-             {indent}  \"ns_per_access\": {:.1},\n{indent}  \"bytes_moved_per_access\": {:.1},\n\
-             {indent}  \"buckets_encrypted_per_access\": {:.2},\n\
-             {indent}  \"max_stash_occupancy\": {}\n{indent}}}",
-            self.accesses,
-            self.accesses_per_sec,
-            1e9 / self.accesses_per_sec,
-            self.bytes_per_access,
-            self.buckets_encrypted_per_access,
-            self.max_stash_occupancy,
-        );
-        s
-    }
-}
 
 /// One seeded mixed batch over the global address space.
 fn make_batch(rng: &mut StdRng, n: u64, block_bytes: usize) -> Vec<Request> {
@@ -87,32 +52,24 @@ fn make_batch(rng: &mut StdRng, n: u64, block_bytes: usize) -> Vec<Request> {
         .collect()
 }
 
-/// Runs the pipelined mixed workload through `client` for `windows`
-/// measurement windows of at least `min_accesses` accesses and `min_secs`
-/// seconds (bounded by `max_accesses`).  Rate is the best window; the
-/// byte/crypto counters are normalised over the whole measured run.
-fn measure_service(
-    client: &mut OramClient,
-    warmup: u64,
-    min_accesses: u64,
-    min_secs: f64,
-    max_accesses: u64,
-    windows: u32,
-) -> Measurement {
+/// Runs the pipelined mixed workload through `client` (see
+/// [`Windows::run`]) and returns its access record; the byte/crypto
+/// counters are normalised over the whole measured run.
+fn measure_service(client: &mut OramClient, windows: &Windows) -> (f64, Json) {
     let n = client.num_blocks();
     let block_bytes = client.block_bytes();
     let mut rng = StdRng::seed_from_u64(0x5AA2D);
 
-    let run = |client: &mut OramClient, rng: &mut StdRng, target: u64| -> u64 {
-        // Keep DEPTH batches in flight: the submit/wait pipeline is what a
-        // throughput-oriented deployment does, and it keeps every shard
-        // worker fed.
+    // Keep DEPTH batches in flight until `target` accesses complete: the
+    // submit/wait pipeline is what a throughput-oriented deployment does,
+    // and it keeps every shard worker fed.
+    let run = |client: &mut OramClient, target: u64| -> u64 {
         let mut pending = VecDeque::with_capacity(DEPTH);
         let mut issued = 0u64;
         let mut done = 0u64;
         while done < target {
             while pending.len() < DEPTH && issued < target {
-                let batch = make_batch(rng, n, block_bytes);
+                let batch = make_batch(&mut rng, n, block_bytes);
                 issued += batch.len() as u64;
                 pending.push_back(client.submit(batch).expect("submit"));
             }
@@ -122,79 +79,59 @@ fn measure_service(
         done
     };
 
-    run(client, &mut rng, warmup);
-    client.reset_stats();
-
-    let mut total = 0u64;
-    let mut best_rate = 0f64;
-    for _ in 0..windows {
-        let start = Instant::now();
-        let mut done = 0u64;
-        loop {
-            done += run(client, &mut rng, (BATCH * DEPTH) as u64);
-            let secs = start.elapsed().as_secs_f64();
-            if done >= max_accesses || (done >= min_accesses && secs >= min_secs) {
-                break;
-            }
-        }
-        let rate = done as f64 / start.elapsed().as_secs_f64();
-        best_rate = best_rate.max(rate);
-        total += done;
-    }
+    let rate = windows.run(client, (BATCH * DEPTH) as u64, run, |c| c.reset_stats());
     let stats = client.fetch_stats().expect("service stats");
-    Measurement {
-        accesses: total,
-        accesses_per_sec: best_rate,
-        bytes_per_access: stats.total_bytes_moved() as f64 / total as f64,
-        buckets_encrypted_per_access: stats.backend.buckets_encrypted as f64 / total as f64,
-        max_stash_occupancy: stats.backend.max_stash_occupancy,
-    }
-}
-
-/// Extracts `"accesses_per_sec"` of the `"shards": 4` entry from a
-/// `BENCH_shards.json` produced by this binary.
-fn parse_4shard_rate(json: &str) -> Option<f64> {
-    let entry = json.find("\"shards\": 4")?;
-    let key = "\"accesses_per_sec\": ";
-    let rate = entry + json[entry..].find(key)? + key.len();
-    let end = json[rate..].find([',', '\n', '}'])?;
-    json[rate..rate + end].trim().parse().ok()
+    let per_access = stats.backend.buckets_encrypted as f64 / rate.total as f64;
+    let record = access_record(
+        rate,
+        stats.total_bytes_moved(),
+        [
+            ("buckets_encrypted_per_access", Json::fixed(per_access, 2)),
+            (
+                "max_stash_occupancy",
+                stats.backend.max_stash_occupancy.into(),
+            ),
+        ],
+    );
+    (rate.best, record)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let gate_path = args
-        .iter()
-        .position(|a| a == "--gate")
-        .and_then(|i| args.get(i + 1));
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_shards.json", |s| s.as_str());
+    let flags = Flags::from_env();
+    let profile = flags.profile();
 
-    let num_blocks: u64 = if quick { 1 << 16 } else { 1 << 20 };
+    let num_blocks: u64 = profile.pick(1 << 16, 1 << 20, 1 << 20);
     let block_bytes = 64usize;
-    let shard_counts: &[u64] = if smoke || quick {
-        &[1, 4]
-    } else {
-        &[1, 2, 4, 8]
-    };
+    let shard_counts = profile.pick::<&[u64]>(&[1, 4], &[1, 4], &[1, 2, 4, 8]);
     // The smoke warmup matches the full profile's: at 1M blocks the PLB /
     // PosMap working set takes ~16k accesses to reach steady state, and a
     // colder run under-reports against the checked-in full baseline.
     // Scheduler noise hits a thread-per-shard service harder than the
     // single-threaded backend bench, so smoke takes the best of more,
     // shorter windows.
-    let (warmup, min_accesses, min_secs, max_accesses, windows) = if smoke {
-        (16_384, 16_384, 1.0, 300_000, 5)
-    } else if quick {
-        (2_048, 4_096, 0.2, 50_000, 2)
-    } else {
-        (16_384, 32_768, 1.5, 2_000_000, 3)
-    };
+    let windows = profile.pick(
+        Windows {
+            warmup: 2_048,
+            windows: 2,
+            min: 4_096,
+            min_secs: 0.2,
+            max: 50_000,
+        },
+        Windows {
+            warmup: 16_384,
+            windows: 5,
+            min: 16_384,
+            min_secs: 1.0,
+            max: 300_000,
+        },
+        Windows {
+            warmup: 16_384,
+            windows: 3,
+            min: 32_768,
+            min_secs: 1.5,
+            max: 2_000_000,
+        },
+    );
 
     let cores = std::thread::available_parallelism().map_or(0, |p| p.get());
     eprintln!("available parallelism: {cores} core(s)");
@@ -205,10 +142,9 @@ fn main() {
         );
     }
 
-    let mut entries = String::new();
+    let mut entries = Vec::new();
     let mut one_shard_rate = 0f64;
-    let mut four_shard_rate = 0f64;
-    for (i, &shards) in shard_counts.iter().enumerate() {
+    for &shards in shard_counts {
         eprintln!("measuring {shards}-shard service ...");
         let service = OramBuilder::for_scheme(SchemePoint::PicX32)
             .num_blocks(num_blocks)
@@ -217,77 +153,50 @@ fn main() {
             .build_service()
             .expect("service builds");
         let mut client = service.client();
-        let m = measure_service(
-            &mut client,
-            warmup,
-            min_accesses,
-            min_secs,
-            max_accesses,
-            windows,
-        );
+        let (rate, record) = measure_service(&mut client, &windows);
         drop(client);
         service.shutdown().expect("clean shutdown");
         if shards == 1 {
-            one_shard_rate = m.accesses_per_sec;
-        }
-        if shards == 4 {
-            four_shard_rate = m.accesses_per_sec;
+            one_shard_rate = rate;
         }
         let speedup = if one_shard_rate > 0.0 {
-            m.accesses_per_sec / one_shard_rate
+            rate / one_shard_rate
         } else {
             1.0
         };
-        eprintln!(
-            "  {shards} shard(s): {:>10.0} acc/s   ({speedup:.2}x vs 1 shard)",
-            m.accesses_per_sec
-        );
-        if i > 0 {
-            entries.push_str(",\n");
-        }
-        let _ = write!(
-            entries,
-            "    {{\n      \"shards\": {shards},\n      \"speedup_vs_1shard\": {speedup:.2},\n      \
-             \"result\": {}\n    }}",
-            m.json("      "),
-        );
+        eprintln!("  {shards} shard(s): {rate:>10.0} acc/s   ({speedup:.2}x vs 1 shard)");
+        entries.push(Json::obj([
+            ("shards", shards.into()),
+            ("speedup_vs_1shard", Json::fixed(speedup, 2)),
+            ("result", record),
+        ]));
     }
 
-    let profile = if smoke {
-        "smoke"
-    } else if quick {
-        "quick"
-    } else {
-        "full"
-    };
-    let json = format!(
-        "{{\n  \"benchmark\": \"shard_scaling\",\n  \"profile\": \"{profile}\",\n  \
-         \"available_parallelism\": {cores},\n  \"design_point\": {{\n    \
-         \"scheme\": \"PIC_X32\",\n    \"encryption\": \"aes_global_seed\",\n    \
-         \"num_blocks_global\": {num_blocks},\n    \"block_bytes\": {block_bytes},\n    \
-         \"batch\": {BATCH},\n    \"pipeline_depth\": {DEPTH}\n  }},\n  \
-         \"shard_scaling\": [\n{entries}\n  ]\n}}\n"
-    );
-    std::fs::write(out_path, &json).expect("write BENCH_shards.json");
-    eprintln!("wrote {out_path}");
+    let report = Json::obj([
+        ("benchmark", "shard_scaling".into()),
+        ("profile", profile.label().into()),
+        ("available_parallelism", cores.into()),
+        (
+            "design_point",
+            Json::obj([
+                ("scheme", "PIC_X32".into()),
+                ("encryption", "aes_global_seed".into()),
+                ("num_blocks_global", num_blocks.into()),
+                ("block_bytes", block_bytes.into()),
+                ("batch", BATCH.into()),
+                ("pipeline_depth", DEPTH.into()),
+            ]),
+        ),
+        ("shard_scaling", Json::Arr(entries)),
+    ]);
+    write_report(flags.out("BENCH_shards.json"), &report);
 
-    if let Some(path) = gate_path {
-        let baseline =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("gate baseline {path}: {e}"));
-        let baseline_rate = parse_4shard_rate(&baseline)
-            .unwrap_or_else(|| panic!("gate baseline {path} has no 4-shard rate"));
-        let floor = baseline_rate * (1.0 - GATE_TOLERANCE);
-        eprintln!(
-            "perf gate: 4-shard {four_shard_rate:.0} acc/s vs baseline {baseline_rate:.0} acc/s \
-             (floor {floor:.0})"
+    if let Some(mut gate) = flags.gate() {
+        gate.at_least(
+            &report,
+            "shard_scaling[shards=4].result.accesses_per_sec",
+            GATE_TOLERANCE,
         );
-        if four_shard_rate < floor {
-            eprintln!(
-                "perf gate FAILED: 4-shard throughput regressed more than {:.0}%",
-                GATE_TOLERANCE * 100.0
-            );
-            std::process::exit(1);
-        }
-        eprintln!("perf gate passed");
+        gate.finish();
     }
 }

@@ -4,36 +4,27 @@
 //! split (`tiered`, top K levels resident in RAM, the rest in the file
 //! tier) — at the 1M-block / 64-byte encrypted design point.
 //!
-//! The CI `--gate` mode checks three things:
+//! Gated numbers (see `bench::harness` for the shared flags and the gate
+//! rule):
 //!
-//! 1. every tier row present in the baseline against the fresh run of the
-//!    same tier (a regression beyond [`GATE_TOLERANCE`] fails),
-//! 2. the machine-portable ratio gate: the fresh tiered rate must be at
-//!    least [`TIERED_FILE_SPEEDUP_FLOOR`]× the fresh file rate — the
-//!    treetop exists to make the spill tier affordable, and this ratio is
-//!    insensitive to the host's absolute disk/CPU speed,
-//! 3. nothing else — absolute file-tier numbers still depend on the page
-//!    cache and the disk, which is why the per-tier check is relative to a
-//!    baseline measured on comparable hardware.
+//! 1. each tier's accesses/sec against the baseline's row for the same
+//!    tier, within [`GATE_TOLERANCE`];
+//! 2. the machine-portable ratio: the fresh tiered rate must be at least
+//!    [`TIERED_FILE_SPEEDUP_FLOOR`]× the fresh file rate, within the same
+//!    tolerance — the treetop exists to make the spill tier affordable, and
+//!    this ratio is insensitive to the host's absolute disk/CPU speed.
+//!
+//! Absolute file-tier numbers still depend on the page cache and the disk,
+//! which is why the per-tier check is relative to a baseline measured on
+//! comparable hardware.
 //!
 //! Usage: `cargo run --release -p bench --bin storage_tiers`
-//!
-//! Flags:
-//!
-//! * `--quick` — small geometry, short windows (local iteration).
-//! * `--smoke` — CI profile: full design point, short windows.
-//! * `--gate <baseline.json>` — run the three checks above against
-//!   `baseline.json`; exit non-zero on failure.
-//! * `--out <path>` — redirect the JSON (default `BENCH_storage.json`).
 
-use path_oram::{AccessOp, EncryptionMode, OramBackend, OramParams, PathOramBackend, StorageKind};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
-use std::time::Instant;
+use bench::harness::{access_record, measure_backend, write_report, Flags, Json, Windows};
+use path_oram::{EncryptionMode, OramParams, PathOramBackend, StorageKind};
 
-/// Allowed fractional regression of any tier's accesses/sec before the
-/// `--gate` check fails (20%, matching the other perf-smoke gates).
+/// Allowed fractional regression of any tier's accesses/sec and of the
+/// tiered/file ratio.
 const GATE_TOLERANCE: f64 = 0.20;
 
 /// The tiered store must beat the pure file store by at least this factor;
@@ -51,135 +42,36 @@ const TIERED_FILE_SPEEDUP_FLOOR: f64 = 2.0;
 /// the whole tree is what clears the 2× floor.
 const TIERED_MEMORY_BUDGET: u64 = 192 << 20;
 
-struct Measurement {
-    accesses: u64,
-    accesses_per_sec: f64,
-    bytes_per_access: f64,
-    max_stash_occupancy: usize,
-}
-
-impl Measurement {
-    fn json(&self, indent: &str) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\n{indent}  \"accesses\": {},\n{indent}  \"accesses_per_sec\": {:.1},\n\
-             {indent}  \"ns_per_access\": {:.1},\n{indent}  \"bytes_moved_per_access\": {:.1},\n\
-             {indent}  \"max_stash_occupancy\": {}\n{indent}}}",
-            self.accesses,
-            self.accesses_per_sec,
-            1e9 / self.accesses_per_sec,
-            self.bytes_per_access,
-            self.max_stash_occupancy,
-        );
-        s
-    }
-}
-
-/// The standard mixed read/write workload over one backend; best-of-windows
-/// rate, counters normalised over the whole run.
-#[allow(clippy::too_many_arguments)]
-fn measure(
-    backend: &mut PathOramBackend,
-    rng: &mut StdRng,
-    posmap: &mut [u64],
-    warmup: u64,
-    min_accesses: u64,
-    min_secs: f64,
-    max_accesses: u64,
-    windows: u32,
-) -> Measurement {
-    let n = backend.params().num_blocks;
-    let leaves = backend.params().num_leaves();
-    let block_bytes = backend.params().block_bytes;
-    let mut out = Vec::new();
-    let write_data = vec![0x5Du8; block_bytes];
-
-    let mut one = |backend: &mut PathOramBackend, i: u64, rng: &mut StdRng, posmap: &mut [u64]| {
-        let addr = rng.gen_range(0..n);
-        let new_leaf = rng.gen_range(0..leaves);
-        let slot = usize::try_from(addr).expect("bench address fits usize");
-        let old_leaf = posmap[slot];
-        posmap[slot] = new_leaf;
-        let op = if i.is_multiple_of(2) {
-            AccessOp::Read
-        } else {
-            AccessOp::Write
-        };
-        let data = (op == AccessOp::Write).then_some(&write_data[..]);
-        backend
-            .access_into(op, addr, old_leaf, new_leaf, data, &mut out)
-            .expect("benchmark access");
-    };
-
-    for i in 0..warmup {
-        one(backend, i, rng, posmap);
-    }
-    backend.reset_stats();
-
-    let mut total = 0u64;
-    let mut best_rate = 0f64;
-    for _ in 0..windows {
-        let start = Instant::now();
-        let mut done = 0u64;
-        loop {
-            for i in 0..256 {
-                one(backend, done + i, rng, posmap);
-            }
-            done += 256;
-            let secs = start.elapsed().as_secs_f64();
-            if done >= max_accesses || (done >= min_accesses && secs >= min_secs) {
-                break;
-            }
-        }
-        let rate = done as f64 / start.elapsed().as_secs_f64();
-        best_rate = best_rate.max(rate);
-        total += done;
-    }
-    let stats = backend.stats();
-    Measurement {
-        accesses: total,
-        accesses_per_sec: best_rate,
-        bytes_per_access: (stats.bytes_read + stats.bytes_written) as f64 / total as f64,
-        max_stash_occupancy: stats.max_stash_occupancy,
-    }
-}
-
-/// Extracts the `"accesses_per_sec"` of the `"store": "<label>"` tier from
-/// a `BENCH_storage.json` produced by this binary: the first rate after
-/// the label.
-fn parse_tier_rate(json: &str, label: &str) -> Option<f64> {
-    let tier = json.find(&format!("\"store\": \"{label}\""))?;
-    let key = "\"accesses_per_sec\": ";
-    let rate = tier + json[tier..].find(key)? + key.len();
-    let end = json[rate..].find([',', '\n', '}'])?;
-    json[rate..rate + end].trim().parse().ok()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let gate_path = args
-        .iter()
-        .position(|a| a == "--gate")
-        .and_then(|i| args.get(i + 1));
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_storage.json", |s| s.as_str());
+    let flags = Flags::from_env();
+    let profile = flags.profile();
 
-    let num_blocks: u64 = if quick { 1 << 16 } else { 1 << 20 };
+    let num_blocks: u64 = profile.pick(1 << 16, 1 << 20, 1 << 20);
     let block_bytes = 64usize;
     let params = OramParams::new(num_blocks, block_bytes, 4);
-    let (warmup, min_accesses, min_secs, max_accesses, windows) = if smoke {
-        (2_000, 4_000, 0.8, 200_000, 3)
-    } else if quick {
-        (1_000, 2_000, 0.2, 50_000, 2)
-    } else {
-        (8_000, 15_000, 1.5, 1_000_000, 3)
-    };
+    let windows = profile.pick(
+        Windows {
+            warmup: 1_000,
+            windows: 2,
+            min: 2_000,
+            min_secs: 0.2,
+            max: 50_000,
+        },
+        Windows {
+            warmup: 2_000,
+            windows: 3,
+            min: 4_000,
+            min_secs: 0.8,
+            max: 200_000,
+        },
+        Windows {
+            warmup: 8_000,
+            windows: 3,
+            min: 15_000,
+            min_secs: 1.5,
+            max: 1_000_000,
+        },
+    );
 
     let tiers = [
         ("mem", StorageKind::Mem),
@@ -191,9 +83,8 @@ fn main() {
             },
         ),
     ];
-    let mut rates: Vec<(&str, f64)> = Vec::new();
-    let mut tiers_json = String::new();
-    for (i, (label, kind)) in tiers.into_iter().enumerate() {
+    let mut rows = Vec::new();
+    for (label, kind) in tiers {
         eprintln!("measuring storage tier: {label} ...");
         let mut backend = PathOramBackend::new_with_storage(
             params,
@@ -205,93 +96,53 @@ fn main() {
             0,
         )
         .expect("backend construction");
-        let mut rng = StdRng::seed_from_u64(0x5708A6E);
-        let mut posmap: Vec<u64> = (0..num_blocks)
-            .map(|_| rng.gen_range(0..params.num_leaves()))
-            .collect();
-        let result = measure(
-            &mut backend,
-            &mut rng,
-            &mut posmap,
-            warmup,
-            min_accesses,
-            min_secs,
-            max_accesses,
-            windows,
-        );
-        eprintln!("  {label:>6}: {:>10.0} acc/s", result.accesses_per_sec);
-        rates.push((label, result.accesses_per_sec));
-        if i > 0 {
-            tiers_json.push_str(",\n");
-        }
-        let _ = write!(
-            tiers_json,
-            "    {{\n      \"store\": \"{label}\",\n      \"result\": {}\n    }}",
-            result.json("      "),
-        );
+        let rate = measure_backend(&mut backend, &windows, 0x5708A6E, 0x5D, 256);
+        eprintln!("  {label:>6}: {:>10.0} acc/s", rate.best);
+        let stats = backend.stats();
+        rows.push(Json::obj([
+            ("store", label.into()),
+            (
+                "result",
+                access_record(
+                    rate,
+                    stats.total_bytes(),
+                    [("max_stash_occupancy", stats.max_stash_occupancy.into())],
+                ),
+            ),
+        ]));
     }
 
-    let profile = if smoke {
-        "smoke"
-    } else if quick {
-        "quick"
-    } else {
-        "full"
-    };
-    let json = format!(
-        "{{\n  \"benchmark\": \"storage_tiers\",\n  \"profile\": \"{profile}\",\n  \
-         \"mode\": \"aes_global_seed\",\n  \
-         \"tiered_memory_budget\": {TIERED_MEMORY_BUDGET},\n  \"design_point\": {{\n    \
-         \"num_blocks\": {num_blocks},\n    \
-         \"block_bytes\": {block_bytes},\n    \"z\": 4,\n    \"levels\": {},\n    \
-         \"bucket_bytes\": {}\n  }},\n  \"tiers\": [\n{tiers_json}\n  ]\n}}\n",
-        params.levels(),
-        params.bucket_bytes(),
-    );
-    std::fs::write(out_path, &json).expect("write BENCH_storage.json");
-    eprintln!("wrote {out_path}");
+    let report = Json::obj([
+        ("benchmark", "storage_tiers".into()),
+        ("profile", profile.label().into()),
+        ("mode", "aes_global_seed".into()),
+        ("tiered_memory_budget", TIERED_MEMORY_BUDGET.into()),
+        (
+            "design_point",
+            Json::obj([
+                ("num_blocks", num_blocks.into()),
+                ("block_bytes", block_bytes.into()),
+                ("z", 4u64.into()),
+                ("levels", params.levels().into()),
+                ("bucket_bytes", params.bucket_bytes().into()),
+            ]),
+        ),
+        ("tiers", Json::Arr(rows)),
+    ]);
+    write_report(flags.out("BENCH_storage.json"), &report);
 
-    if let Some(path) = gate_path {
-        let baseline =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("gate baseline {path}: {e}"));
-        let mut failed = false;
-        for (label, rate) in &rates {
-            let Some(baseline_rate) = parse_tier_rate(&baseline, label) else {
-                eprintln!("perf gate: baseline {path} has no \"{label}\" row; skipping");
-                continue;
-            };
-            let floor = baseline_rate * (1.0 - GATE_TOLERANCE);
-            eprintln!(
-                "perf gate: {label}-store {rate:.0} acc/s vs baseline {baseline_rate:.0} acc/s \
-                 (floor {floor:.0})"
-            );
-            if *rate < floor {
-                eprintln!(
-                    "perf gate FAILED: {label}-store throughput regressed more than {:.0}%",
-                    GATE_TOLERANCE * 100.0
-                );
-                failed = true;
-            }
+    if let Some(mut gate) = flags.gate() {
+        let key = |store: &str| format!("tiers[store=\"{store}\"].result.accesses_per_sec");
+        for store in ["mem", "file", "tiered"] {
+            gate.at_least(&report, &key(store), GATE_TOLERANCE);
         }
-        let file_rate = rates.iter().find(|(l, _)| *l == "file").map(|(_, r)| *r);
-        let tiered_rate = rates.iter().find(|(l, _)| *l == "tiered").map(|(_, r)| *r);
-        if let (Some(file_rate), Some(tiered_rate)) = (file_rate, tiered_rate) {
-            let ratio = tiered_rate / file_rate;
-            let ratio_floor = TIERED_FILE_SPEEDUP_FLOOR * (1.0 - GATE_TOLERANCE);
-            eprintln!(
-                "perf gate: tiered/file speedup {ratio:.2}x \
-                 (target {TIERED_FILE_SPEEDUP_FLOOR:.1}x, floor {ratio_floor:.2}x)"
-            );
-            if ratio < ratio_floor {
-                eprintln!(
-                    "perf gate FAILED: tiered store fell below {ratio_floor:.2}x the file store"
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!("perf gate passed");
+        let rate = |store: &str| report.num(&key(store)).expect("measured tier");
+        gate.at_least_target(
+            "tiered/file speedup",
+            rate("tiered") / rate("file"),
+            TIERED_FILE_SPEEDUP_FLOOR,
+            GATE_TOLERANCE,
+        );
+        gate.finish();
     }
 }

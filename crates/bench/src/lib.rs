@@ -2,8 +2,10 @@
 //!
 //! The real content of this crate lives in:
 //!
-//! * `src/bin/*` — one binary per table/figure of the paper (see DESIGN.md
-//!   for the index), each printing the same rows/series the paper reports;
+//! * `src/bin/*` — one binary per table/figure of the paper (the README's
+//!   crate map and quickstart list them), each printing the same
+//!   rows/series the paper reports, plus the perf-smoke drivers built on
+//!   [`harness`];
 //! * `benches/*` — Criterion micro-benchmarks of the simulator itself;
 //! * `../../examples/*` — runnable examples using the public API;
 //! * `../../docs/ARCHITECTURE.md` — the workspace-wide map every benchmark
@@ -14,6 +16,7 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
+pub mod harness;
 
 use oram_sim::experiments::ExperimentScale;
 
@@ -21,7 +24,7 @@ use oram_sim::experiments::ExperimentScale;
 /// default the binaries run at paper scale (all benchmarks, long traces);
 /// with `--quick` they run the reduced configuration used in CI.
 pub fn scale_from_args() -> ExperimentScale {
-    if std::env::args().any(|a| a == "--quick") {
+    if harness::Flags::from_env().has("--quick") {
         ExperimentScale::Quick
     } else {
         ExperimentScale::Paper

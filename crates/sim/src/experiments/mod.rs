@@ -2,8 +2,7 @@
 //!
 //! Every driver returns a structured result with a `render()` method that
 //! prints the same rows/series the paper reports; the `bench` crate exposes
-//! one binary per driver.  The EXPERIMENTS.md file at the repository root
-//! records paper-reported versus measured values.
+//! one binary per driver.
 
 pub mod ablations;
 pub mod fig3;

@@ -15,7 +15,7 @@
 //!   Figure 5).
 //!
 //! The numbers are calibrated to land in the ranges the paper reports, not to
-//! reproduce SPEC microarchitecture-accurately; see DESIGN.md for the
+//! reproduce SPEC microarchitecture-accurately; the crate-level docs give the
 //! substitution rationale.
 
 use crate::pattern::AccessPattern;
